@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check check-fault check-store check-serve check-campaign test race bench bench-parallel bench-pipeline bench-obs bench-eval bench-serve vet build lint lint-json report
+.PHONY: check check-fault check-store check-serve check-campaign check-perfbench test race bench bench-parallel bench-pipeline bench-obs bench-eval bench-serve vet build lint lint-json report
 
 check:
 	@echo '== vet =='
@@ -103,6 +103,19 @@ check-campaign:
 	  kill -TERM $$srv; wait $$srv; drained=$$?; \
 	  rm -rf $(CAMPAIGN_DIR); \
 	  test $$first -eq 0 && test $$second -eq 0 && test $$resumed -eq 0 && test $$drained -eq 0
+
+# The benchmark's own tests. _perfbench is a separate Go module, so the
+# root `go test ./...` never reaches it: BENCHMARK.json must match the
+# metric table, corrupted tables and responses must count as failed, and
+# the traced counts must repeat across runs and worker counts. Runs with
+# the environment of _perfbench/run.sh — build cache and temporary files
+# under .bench_build/, no module proxy, no workspace.
+PERFBENCH_BUILD = $(CURDIR)/.bench_build
+check-perfbench:
+	mkdir -p $(PERFBENCH_BUILD)/gocache $(PERFBENCH_BUILD)/tmp $(PERFBENCH_BUILD)/gopath
+	cd _perfbench && GOCACHE=$(PERFBENCH_BUILD)/gocache GOPATH=$(PERFBENCH_BUILD)/gopath \
+		GOTMPDIR=$(PERFBENCH_BUILD)/tmp TMPDIR=$(PERFBENCH_BUILD)/tmp \
+		GOTOOLCHAIN=local GOPROXY=off GOWORK=off GOFLAGS= $(GO) test ./...
 
 test:
 	$(GO) test ./...

@@ -71,6 +71,7 @@ func main() {
 		reportPath  = flag.String("campaign-report", "campaign_report.json", "write the aggregated campaign report here (empty disables)")
 	)
 	flag.Parse()
+	common.StandardLadder = *levelsFlag == ""
 	if err := common.Validate(); err != nil {
 		log.Fatal(err)
 	}

@@ -41,6 +41,7 @@ func main() {
 		generate = flag.Bool("generate", false, "generate the checked RLIBM library through the staged pipeline instead of using the emitted internal/libm tables")
 	)
 	flag.Parse()
+	common.StandardLadder = *generate
 	if err := common.Validate(); err != nil {
 		log.Fatal(err)
 	}

@@ -86,6 +86,7 @@ func main() {
 	common := cli.Register(flag.CommandLine)
 	generate := flag.Bool("generate", false, "generate the RLIBM libraries through the staged pipeline instead of using the emitted internal/libm tables")
 	flag.Parse()
+	common.StandardLadder = *generate
 	if err := common.Validate(); err != nil {
 		log.Fatal(err)
 	}

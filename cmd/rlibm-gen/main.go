@@ -49,6 +49,7 @@ func main() {
 		levels   = flag.String("levels", "", "colon-separated explicit level list, e.g. F10,8:F12,8 (overrides -bits)")
 	)
 	flag.Parse()
+	common.StandardLadder = !*baseline && *levels == ""
 	if err := common.Validate(); err != nil {
 		log.Fatal(err)
 	}

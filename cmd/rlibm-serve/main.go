@@ -54,6 +54,7 @@ func main() {
 		levels     = flag.String("levels", "", "colon-separated explicit level list the store artifacts were generated with (overrides -bits)")
 	)
 	flag.Parse()
+	common.StandardLadder = *levels == ""
 	if err := common.Validate(); err != nil {
 		log.Fatal(err)
 	}

@@ -54,6 +54,7 @@ func main() {
 		generate   = flag.Bool("generate", false, "generate the RLIBM libraries through the staged pipeline instead of using the emitted internal/libm tables")
 	)
 	flag.Parse()
+	common.StandardLadder = *generate
 	if err := common.Validate(); err != nil {
 		log.Fatal(err)
 	}

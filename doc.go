@@ -47,7 +47,8 @@
 //   - internal/reduction — production range reduction, output
 //     compensation and its inverse, replayed bit-for-bit during
 //     generation so implementation rounding is absorbed into constraints.
-//   - internal/lp — float64 simplex with an exact rational fallback (the
+//   - internal/lp — float64 simplex whose final basis is certified in
+//     exact arithmetic, with a rational Bland simplex as the fallback (the
 //     SoPlex substitute).
 //   - internal/sampling — weighted random sampling
 //     (Efraimidis–Spirakis) for Clarkson's algorithm.

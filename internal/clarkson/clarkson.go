@@ -5,12 +5,12 @@
 //
 // The multi-set of constraints is encoded as per-constraint weights. Each
 // iteration draws a weighted sample of 6k² constraints, solves it with an
-// LP solver (float64 simplex, escalating to the exact rational simplex on
-// numerical failure), and checks the sample solution against every
-// constraint using the production double-precision Horner evaluation. On a
-// "lucky" iteration — violated weight ≤ satisfied weight/(3k−1) — the
-// violated constraints' weights double, which is exactly re-adding them to
-// the multi-set. When the system is full-rank the solution is found in
+// LP solver (float64 simplex, escalating to the exact solver on numerical
+// failure), and checks the sample solution against every constraint using
+// the production double-precision Horner evaluation. On a "lucky"
+// iteration — violated weight ≤ satisfied weight/(3k−1) — the violated
+// constraints' weights double, which is exactly re-adding them to the
+// multi-set. When the system is full-rank the solution is found in
 // 6k·log n iterations in expectation (§3.4).
 package clarkson
 
@@ -67,10 +67,10 @@ type Config struct {
 	// Structure is the monomial layout (dense, even or odd); the zero
 	// value is the dense layout.
 	Structure poly.Structure
-	// DisableExact turns off escalation to the exact rational solver.
+	// DisableExact turns off escalation to the exact solver.
 	DisableExact bool
-	// ForceExact routes every sample to the exact rational solver instead
-	// of trying the float64 simplex first. The generator's rescue ladder
+	// ForceExact routes every sample to the exact solver instead of
+	// accepting the float64 simplex's answer. The generator's rescue ladder
 	// sets it when float64 numerics are suspected of blocking a solve;
 	// ignored when DisableExact is set.
 	ForceExact bool
@@ -111,8 +111,12 @@ type Result struct {
 	// Samples counts the iterations that actually drew a weighted sample
 	// (injected sample failures and budget exhaustion skip the draw).
 	Samples int
-	// ExactSolves counts escalations to the rational simplex.
+	// ExactSolves counts escalations to the exact solver.
 	ExactSolves int
+	// ExactFallbacks counts the escalations whose float basis had no exact
+	// certificate, so the rational Bland tableau ran (a subset of
+	// ExactSolves).
+	ExactFallbacks int
 	// LastErr is the most recent LP solver error (diagnostics).
 	LastErr error
 	// BestViolations is the smallest violated-input count seen
@@ -208,9 +212,12 @@ func Solve(rows []Row, cfg Config) Result {
 		}
 		idx := sampling.Weighted(weights, sample, rng)
 		res.Samples++
-		coeffs, exact, infeasible, solveErr, ok := solveSample(rows, idx, k, cfg)
+		coeffs, exact, fallback, infeasible, solveErr, ok := solveSample(rows, idx, k, cfg)
 		if exact {
 			res.ExactSolves++
+		}
+		if fallback {
+			res.ExactFallbacks++
 		}
 		if solveErr != nil {
 			res.LastErr = solveErr
@@ -297,9 +304,10 @@ func Solve(rows []Row, cfg Config) Result {
 }
 
 // solveSample builds the LP for the sampled rows and solves it, escalating
-// to the exact rational simplex when the float64 simplex cannot certify an
-// answer. It returns the descaled coefficient vector.
-func solveSample(rows []Row, idx []int, k int, cfg Config) (coeffs []float64, usedExact, infeasible bool, solveErr error, ok bool) {
+// to the exact solver when the float64 simplex cannot certify an answer.
+// It returns the descaled coefficient vector; usedFallback reports that
+// the exact solver had to run its rational Bland tableau.
+func solveSample(rows []Row, idx []int, k int, cfg Config) (coeffs []float64, usedExact, usedFallback, infeasible bool, solveErr error, ok bool) {
 	st := cfg.structure()
 	prob := lp.Problem{NumVars: k}
 	prob.Constraints = make([]lp.Constraint, 0, len(idx))
@@ -318,14 +326,17 @@ func solveSample(rows []Row, idx []int, k int, cfg Config) (coeffs []float64, us
 		prob.Constraints = append(prob.Constraints, lp.Constraint{Coeffs: cs, Lo: r.Lo, Hi: r.Hi})
 	}
 	// Samples containing singleton rows (exact results: the y-interval is
-	// one point, an equality in the LP) go straight to the exact rational
-	// solver: the float simplex can approach but never exactly hit the
-	// pinned coefficient, and the production Horner check requires
-	// exactness. The exact solver's sample is capped — its cost grows
+	// one point, an equality in the LP) go straight to the exact solver:
+	// the float simplex can approach but never exactly hit the pinned
+	// coefficient, and the production Horner check requires exactness.
+	// The exact solver certifies the float simplex's basis in exact
+	// arithmetic and runs its rational Bland tableau only when no
+	// certificate exists. Its sample is capped — the fallback's cost grows
 	// steeply with row count, and solving any subsample optimally still
 	// yields a valid Las Vegas candidate (the full-set violation check and
 	// weight doubling preserve correctness; only the lucky-iteration
-	// probability bound degrades).
+	// probability bound degrades). The certificate and the fallback see
+	// the same capped problem and return the same answer.
 	const exactRowCap = 120
 	solveExact := func() (lp.Solution, error) {
 		ep := prob
@@ -349,7 +360,9 @@ func solveSample(rows []Row, idx []int, k int, cfg Config) (coeffs []float64, us
 			ep.Constraints = capped
 		}
 		usedExact = true
-		return lp.SolveMaxMarginExact(ep)
+		sol, err := lp.SolveMaxMarginExact(ep)
+		usedFallback = sol.Fallback
+		return sol, err
 	}
 	hasEquality := false
 	for _, c := range prob.Constraints {
@@ -373,15 +386,15 @@ func solveSample(rows []Row, idx []int, k int, cfg Config) (coeffs []float64, us
 	}
 	if err == lp.ErrInfeasible {
 		// Only the exact rational solver can certify infeasibility.
-		return nil, usedExact, usedExact, nil, false
+		return nil, usedExact, usedFallback, usedExact, nil, false
 	}
 	if err != nil {
-		return nil, usedExact, false, err, false
+		return nil, usedExact, usedFallback, false, err, false
 	}
 	// Descale: C'_j was fit against (x/s)^e_j, so C_j = C'_j · s^-e_j.
 	out := make([]float64, k)
 	for j := 0; j < k; j++ {
 		out[j] = sol.X[j] * math.Pow(inv, float64(st.Exponent(j)))
 	}
-	return out, usedExact, false, nil, true
+	return out, usedExact, usedFallback, false, nil, true
 }

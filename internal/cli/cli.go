@@ -40,6 +40,12 @@ type Common struct {
 	Seed int64
 	// Bits is the width of the largest representation.
 	Bits int
+	// StandardLadder reports that the command will generate (or address)
+	// the paper's ladder gen.StandardLevels(Bits) because no explicit level
+	// list overrides it. Commands set it after parsing their flags; Validate
+	// then requires Bits to exceed tensorfloat32's width, since the ladder
+	// must increase.
+	StandardLadder bool
 	// CacheDir roots the content-addressed artifact store; empty disables
 	// caching, as does NoCache. Kept as an alias for -store dir:PATH.
 	CacheDir string
@@ -120,6 +126,10 @@ func (c *Common) Validate() error {
 	}
 	if c.Bits < 2 {
 		return fmt.Errorf("invalid -bits %d: must be at least 2", c.Bits)
+	}
+	if min := fp.TensorFloat32.Bits() + 1; c.StandardLadder && c.Bits < min {
+		return fmt.Errorf("invalid -bits %d: must be at least %d (the standard ladder is bfloat16, tensorfloat32, F(bits,8); use -levels for smaller ladders)",
+			c.Bits, min)
 	}
 	if c.Timeout < 0 {
 		return fmt.Errorf("invalid -timeout %v: must be at least 0 (0 disables the deadline)", c.Timeout)

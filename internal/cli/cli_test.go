@@ -2,6 +2,7 @@ package cli_test
 
 import (
 	"flag"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -31,6 +32,39 @@ func TestValidateRejectsBadBits(t *testing.T) {
 	c := &cli.Common{Workers: 1, Bits: 1}
 	if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "-bits") {
 		t.Errorf("Validate(-bits=1) = %v, want an error naming -bits", err)
+	}
+}
+
+// TestValidateStandardLadderBits pins that a command building the
+// standard ladder bfloat16 ⊂ tensorfloat32 ⊂ F(bits,8) rejects -bits ≤ 19
+// at the flag, while explicit level lists (StandardLadder unset) keep
+// accepting small widths.
+func TestValidateStandardLadderBits(t *testing.T) {
+	cases := []struct {
+		bits     int
+		standard bool
+		wantErr  bool
+	}{
+		{16, true, true},
+		{19, true, true},
+		{20, true, false},
+		{22, true, false},
+		{12, false, false},
+		{19, false, false},
+	}
+	for _, tc := range cases {
+		c := &cli.Common{Workers: 1, Bits: tc.bits, StandardLadder: tc.standard}
+		err := c.Validate()
+		if !tc.wantErr {
+			if err != nil {
+				t.Errorf("Validate(-bits=%d, standard=%v) = %v, want nil", tc.bits, tc.standard, err)
+			}
+			continue
+		}
+		want := fmt.Sprintf("invalid -bits %d: must be at least 20 (", tc.bits)
+		if err == nil || !strings.HasPrefix(err.Error(), want) || !strings.Contains(err.Error(), "use -levels") {
+			t.Errorf("Validate(-bits=%d, standard=%v) = %v, want %q… naming -levels", tc.bits, tc.standard, err, want)
+		}
 	}
 }
 
@@ -142,6 +176,7 @@ func TestValidateMessageShape(t *testing.T) {
 		{"workers", cli.Common{Workers: 0, Bits: 16}, "invalid -workers 0: "},
 		{"seed", cli.Common{Workers: 1, Bits: 16, Seed: -3}, "invalid -seed -3: "},
 		{"bits", cli.Common{Workers: 1, Bits: 1}, "invalid -bits 1: "},
+		{"bits", cli.Common{Workers: 1, Bits: 16, StandardLadder: true}, "invalid -bits 16: "},
 		{"timeout", cli.Common{Workers: 1, Bits: 16, Timeout: -time.Second}, "invalid -timeout -1s: "},
 		{"timeout", cli.Common{Workers: 1, Bits: 16, Timeout: 10 * time.Millisecond}, "invalid -timeout 10ms: "},
 	}

@@ -137,7 +137,7 @@ func pieceSeed(seed int64, fn bigmath.Func, kernel, pieces, pi int) int64 {
 // without the rescue ladder. Later rungs rotate the RNG seed by fixed
 // salts (unlucky sampling is the dominant failure mode reported by
 // RLIBM-All/RLIBM-32), escalate the iteration budget and force the exact
-// rational solver, and finally degrade gracefully by widening the term,
+// solver, and finally degrade gracefully by widening the term,
 // piece and special budgets. The schedule is a fixed table — never
 // randomized, never influenced by injected faults — so cold and warm runs
 // consume identical rungs and the consumption counts recorded in Stats
@@ -146,7 +146,7 @@ type rescueRung struct {
 	name          string
 	salt          int64 // XORed into Options.Seed (0 = unsalted)
 	itersScale    int   // multiplies ClarksonIters
-	forceExact    bool  // route every sample to the exact rational solver
+	forceExact    bool  // route every sample to the exact solver
 	extraTerms    int   // added to MaxTerms
 	piecesScale   int   // multiplies MaxPieces (unless ForcePieces pins it)
 	specialsScale int   // multiplies MaxSpecials
@@ -287,6 +287,7 @@ func solveKernelAttempt(ctx context.Context, fn bigmath.Func, scheme reduction.S
 					ps.Add(obs.CtrClarksonSamples, int64(st2.samples))
 					ps.Add(obs.CtrClarksonWeightDoublings, int64(st2.lucky))
 					ps.Add(obs.CtrClarksonExactSolves, int64(st2.exactSolves))
+					ps.Add(obs.CtrClarksonExactFallbacks, int64(st2.exactFallbacks))
 					return pieceOut{piece: piece, viols: viols, stats: st2, found: found, retries: attempt - 1}, nil
 				}
 				// The solve consumed injected faults: its result (and its
@@ -390,11 +391,12 @@ func splitDomain(lo, hi float64, n int) []float64 {
 // the whole piece result, which is then discarded and replayed.
 type solveStats struct {
 	attempts, iters, lucky, exactSolves int
-	// samples counts the iterations that drew and solved a weighted sample
-	// (reported via obs only; gen.Stats predates it and the solve artifact
-	// layout must not change).
-	samples  int
-	injected int
+	// samples counts the iterations that drew and solved a weighted sample,
+	// and exactFallbacks the exact solves whose float basis had no
+	// certificate (reported via obs only; gen.Stats predates them and the
+	// solve artifact layout must not change).
+	samples, exactFallbacks int
+	injected                int
 }
 
 // solvePiece searches term-count assignments for one sub-domain: the total
@@ -406,7 +408,7 @@ type solveStats struct {
 // we are unable to find a progressive polynomial after increasing the
 // terms used for the smaller representations"). rng must be exclusive to
 // this call; solvePiece runs concurrently with other pieces. forceExact
-// routes every Clarkson sample to the exact rational solver (the rescue
+// routes every Clarkson sample to the exact solver (the rescue
 // ladder's escalation rung); cancellation is checked between term-count
 // attempts and surfaces as a typed error.
 func solvePiece(ctx context.Context, rows []clarkson.Row, meta []rowMeta, st poly.Structure, nLevels int,
@@ -489,6 +491,7 @@ func solvePiece(ctx context.Context, rows []clarkson.Row, meta []rowMeta, st pol
 			stats.lucky += cr.Lucky
 			stats.exactSolves += cr.ExactSolves
 			stats.samples += cr.Samples
+			stats.exactFallbacks += cr.ExactFallbacks
 			stats.injected += cr.Injected
 			if opt.Logf != nil {
 				opt.Logf("    attempt k=%d terms=%v rows=%d: found=%v infeasible=%v best=%d iters=%d lucky=%d exact=%d lastErr=%v",

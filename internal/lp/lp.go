@@ -4,8 +4,13 @@
 //
 //   - a dense two-phase float64 simplex (fast path, used for the thousands
 //     of Clarkson sample solves), and
-//   - an exact arbitrary-precision rational simplex with Bland's rule (the
-//     SoPlex substitute: guaranteed-terminating, exact arithmetic).
+//   - an exact solver, the SoPlex substitute, in the style of SoPlex's
+//     iterative refinement: it runs the same float64 simplex to its final
+//     basis and certifies that basis in exact arithmetic (a fraction-free
+//     solve of the (k+1)×(k+1) active system, exact primal and strict dual
+//     feasibility checks). Only when no certificate exists does it fall
+//     back to a dense rational simplex with Bland's rule, which is
+//     guaranteed to terminate and alone may certify infeasibility.
 //
 // Rather than an arbitrary vertex, both solvers maximize the relative
 // margin δ: each constraint is tightened to lo_i + δ·w_i ≤ a_i·x ≤
@@ -48,6 +53,12 @@ type Solution struct {
 	// Margin is the achieved relative margin δ ∈ [-∞, 1]; ≥ 0 means every
 	// constraint is satisfied (with slack proportional to its width).
 	Margin float64
+	// Fallback reports that SolveMaxMarginExact found no exact certificate
+	// for the float64 simplex's basis and ran the rational Bland tableau.
+	// It is set on the error returns of that path too, and never by
+	// SolveMaxMargin. It describes the cost of the solve, not its answer:
+	// X and Margin are the same either way.
+	Fallback bool
 }
 
 // ErrInfeasible reports that no assignment satisfies the constraints (not
@@ -93,6 +104,57 @@ func (p Problem) validate() error {
 		}
 	}
 	return nil
+}
+
+// marginRow is one equality row of the margin LP in the column layout
+// both simplex tableaus share: u_0..u_{k-1}, v_0..v_{k-1}, d+, d− (x = u −
+// v and δ = d+ − d− split into non-negative parts), then one slack column
+// per row, then one artificial column per row. A two-sided constraint
+// contributes a lo row (a·x − w·δ − s = lo) and a hi row (a·x + w·δ + s =
+// hi); an equality contributes a single row with no slack (slack 0, a zero
+// slack column); the last row caps δ ≤ 1 (δ + s = 1).
+type marginRow struct {
+	coef  []float64 // structural part, length 2k+2
+	slack float64   // +1 or -1; 0 for an equality row
+	rhs   float64
+}
+
+// marginRows builds the rows of p's margin LP. Every entry is one of p's
+// float64 coefficients or bounds, a negation, or a width, so both solvers
+// see the same numbers and the rational one converts them exactly.
+func marginRows(p Problem) []marginRow {
+	k := p.NumVars
+	nStruct := 2*k + 2
+	var rows []marginRow
+	addRow := func(a []float64, w, rhs, slackSign float64) {
+		c := make([]float64, nStruct)
+		for j := 0; j < k; j++ {
+			c[j] = a[j]
+			c[k+j] = -a[j]
+		}
+		if slackSign != 0 {
+			c[2*k] = slackSign * w
+			c[2*k+1] = -slackSign * w
+		}
+		rows = append(rows, marginRow{coef: c, slack: slackSign, rhs: rhs})
+	}
+	for _, con := range p.Constraints {
+		if con.IsEquality() {
+			addRow(con.Coeffs, 0, con.Lo, 0)
+			continue
+		}
+		w := con.width()
+		if !math.IsInf(con.Lo, 0) {
+			addRow(con.Coeffs, w, con.Lo, -1)
+		}
+		if !math.IsInf(con.Hi, 0) {
+			addRow(con.Coeffs, w, con.Hi, +1)
+		}
+	}
+	capRow := marginRow{coef: make([]float64, nStruct), slack: +1, rhs: 1}
+	capRow.coef[2*k] = 1
+	capRow.coef[2*k+1] = -1
+	return append(rows, capRow)
 }
 
 // width returns the margin weight of a constraint: half its interval width,

@@ -13,59 +13,48 @@ func SolveMaxMargin(p Problem) (Solution, error) {
 		return Solution{}, err
 	}
 	k := p.NumVars
+	t, colScale, err := runFloat(marginRows(p), k)
+	if err != nil {
+		return Solution{}, err
+	}
 
-	// Column layout: u_0..u_{k-1}, v_0..v_{k-1}, d+, d-, then one slack per
-	// row, then one artificial per row.
+	z := t.values(t.n)
+	x := make([]float64, k)
+	for j := 0; j < k; j++ {
+		x[j] = (z[j] - z[k+j]) * colScale[j]
+	}
+	claimed := z[2*k]*colScale[2*k] - z[2*k+1]*colScale[2*k+1]
+	for _, v := range x {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return Solution{}, ErrNumeric
+		}
+	}
+	// Self-verification: the float tableau can silently drift on
+	// ill-conditioned systems. Recompute the margin by direct evaluation
+	// and reject the solve when it falls materially short of the claim —
+	// callers then retry with the exact rational solver.
+	measured := p.MeasuredMargin(x)
+	if measured < claimed-0.2*(1+math.Abs(claimed)) {
+		return Solution{}, ErrNumeric
+	}
+	return Solution{X: x, Margin: measured}, nil
+}
+
+// runFloat runs the float64 two-phase simplex on the margin rows of a
+// k-variable problem to its final basis: phase 1 minimizes the sum of the
+// artificials, phase 2 minimizes −δ = −(d+ − d−) with the artificials
+// blocked. Rows and structural columns are equilibrated; colScale maps the
+// tableau's structural values back to problem units. Both solvers start
+// here: SolveMaxMargin reads its answer off the tableau, and
+// SolveMaxMarginExact certifies t.basis exactly.
+func runFloat(rows []marginRow, k int) (t *tableau, colScale []float64, err error) {
 	nStruct := 2*k + 2
-	type row struct {
-		coef  []float64 // structural part, length nStruct
-		slack float64   // +1 or -1
-		rhs   float64
-	}
-	var rows []row
-	addRow := func(a []float64, w, rhs, slackSign float64, marginSign float64) {
-		c := make([]float64, nStruct)
-		for j := 0; j < k; j++ {
-			c[j] = a[j]
-			c[k+j] = -a[j]
-		}
-		c[2*k] = marginSign * w
-		c[2*k+1] = -marginSign * w
-		rows = append(rows, row{coef: c, slack: slackSign, rhs: rhs})
-	}
-	for _, con := range p.Constraints {
-		w := con.width()
-		if con.IsEquality() {
-			// Equality: single row, no slack, no margin term.
-			c := make([]float64, nStruct)
-			for j := 0; j < k; j++ {
-				c[j] = con.Coeffs[j]
-				c[k+j] = -con.Coeffs[j]
-			}
-			rows = append(rows, row{coef: c, slack: 0, rhs: con.Lo})
-			continue
-		}
-		if !math.IsInf(con.Lo, 0) {
-			// a·x - w·δ - s = lo
-			addRow(con.Coeffs, w, con.Lo, -1, -1)
-		}
-		if !math.IsInf(con.Hi, 0) {
-			// a·x + w·δ + s = hi
-			addRow(con.Coeffs, w, con.Hi, +1, +1)
-		}
-	}
-	// Cap δ ≤ 1: d+ - d- + s = 1.
-	capRow := row{coef: make([]float64, nStruct), slack: +1, rhs: 1}
-	capRow.coef[2*k] = 1
-	capRow.coef[2*k+1] = -1
-	rows = append(rows, capRow)
-
 	m := len(rows)
 	nSlack := m // one reserved per row; zero column for equality rows
 	n := nStruct + nSlack + m
 
 	// Column equilibration for the structural columns.
-	colScale := make([]float64, nStruct)
+	colScale = make([]float64, nStruct)
 	for j := range colScale {
 		mx := 0.0
 		for _, r := range rows {
@@ -80,7 +69,7 @@ func SolveMaxMargin(p Problem) (Solution, error) {
 	}
 
 	// Assemble the tableau with row equilibration.
-	t := newTableau(m, n)
+	t = newTableau(m, n)
 	artStart := nStruct + nSlack
 	for i, r := range rows {
 		rowMax := math.Abs(r.rhs)
@@ -111,10 +100,10 @@ func SolveMaxMargin(p Problem) (Solution, error) {
 	// Phase 1: minimize the sum of artificials.
 	t.initPhase1(artStart)
 	if status := t.iterate(artStart); status != lpOptimal {
-		return Solution{}, ErrNumeric
+		return nil, nil, ErrNumeric
 	}
 	if t.cost[n] < -phase1Eps {
-		return Solution{}, ErrInfeasible
+		return nil, nil, ErrInfeasible
 	}
 	t.driveOutArtificials(artStart)
 
@@ -124,31 +113,11 @@ func SolveMaxMargin(p Problem) (Solution, error) {
 	obj[2*k+1] = 1
 	t.initPhase2(obj, artStart)
 	if status := t.iterate(artStart); status == lpUnbounded {
-		return Solution{}, ErrUnbounded
+		return nil, nil, ErrUnbounded
 	} else if status != lpOptimal {
-		return Solution{}, ErrNumeric
+		return nil, nil, ErrNumeric
 	}
-
-	z := t.values(n)
-	x := make([]float64, k)
-	for j := 0; j < k; j++ {
-		x[j] = (z[j] - z[k+j]) * colScale[j]
-	}
-	claimed := z[2*k]*colScale[2*k] - z[2*k+1]*colScale[2*k+1]
-	for _, v := range x {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return Solution{}, ErrNumeric
-		}
-	}
-	// Self-verification: the float tableau can silently drift on
-	// ill-conditioned systems. Recompute the margin by direct evaluation
-	// and reject the solve when it falls materially short of the claim —
-	// callers then retry with the exact rational solver.
-	measured := p.MeasuredMargin(x)
-	if measured < claimed-0.2*(1+math.Abs(claimed)) {
-		return Solution{}, ErrNumeric
-	}
-	return Solution{X: x, Margin: measured}, nil
+	return t, colScale, nil
 }
 
 const (

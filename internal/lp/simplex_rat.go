@@ -1,98 +1,64 @@
 package lp
 
-import (
-	"math"
-	"math/big"
-)
+import "math/big"
 
-// SolveMaxMarginExact solves the margin LP in exact rational arithmetic
-// with Bland's rule — the package's SoPlex substitute. Every float64
-// coefficient and bound converts exactly to a rational, the simplex is
-// exact and guaranteed to terminate, and infeasibility/optimality are
-// certificates rather than numerical judgements. The solution vector is
-// rounded to the nearest float64s only on return.
+// SolveMaxMarginExact solves the margin LP exactly — the package's SoPlex
+// substitute. Every float64 coefficient and bound converts exactly to a
+// rational, and the answer is the exact optimum rounded to the nearest
+// float64s only on return.
 //
-// The cost is polynomial but with rational-arithmetic constants: intended
-// for the Clarkson samples (hundreds of rows), not for millions of rows.
+// It first runs the float64 simplex to its final basis and certifies that
+// basis in exact arithmetic (see certify). A certificate proves the optimal
+// x unique, so it is necessarily the vertex the rational Bland simplex
+// reaches, rounded the same way. Without one — phase 1 stalled or claimed
+// infeasibility, the basis is not exactly optimal, or the optimum is
+// dual-degenerate — it runs the dense rational two-phase simplex with
+// Bland's rule, which is guaranteed to terminate and whose infeasibility
+// verdict is a certificate; Solution.Fallback records that it ran.
+//
+// The fallback's cost is polynomial but with rational-arithmetic
+// constants: intended for the Clarkson samples (hundreds of rows), not for
+// millions of rows.
 func SolveMaxMarginExact(p Problem) (Solution, error) {
 	if err := p.validate(); err != nil {
 		return Solution{}, err
 	}
+	rows := marginRows(p)
+	if t, _, err := runFloat(rows, p.NumVars); err == nil {
+		if x, ok := certify(rows, p.NumVars, t.basis); ok {
+			return Solution{X: x, Margin: p.MeasuredMargin(x)}, nil
+		}
+	}
+	sol, err := solveBland(p, rows)
+	sol.Fallback = true
+	return sol, err
+}
+
+// solveBland solves the margin LP of p, whose rows are given, with the
+// dense rational two-phase simplex and Bland's anti-cycling rule.
+func solveBland(p Problem, rows []marginRow) (Solution, error) {
 	k := p.NumVars
 	nStruct := 2*k + 2
-
-	type row struct {
-		coef  []*big.Rat
-		slack int // +1, -1 or 0
-		rhs   *big.Rat
-	}
-	ratOf := func(f float64) *big.Rat { return new(big.Rat).SetFloat64(f) }
-	var rows []row
-	structRow := func(a []float64, w float64, marginSign int) []*big.Rat {
-		c := make([]*big.Rat, nStruct)
-		for j := 0; j < k; j++ {
-			c[j] = ratOf(a[j])
-			c[k+j] = new(big.Rat).Neg(c[j])
-		}
-		wr := ratOf(w)
-		if marginSign < 0 {
-			wr.Neg(wr)
-		}
-		c[2*k] = wr
-		c[2*k+1] = new(big.Rat).Neg(wr)
-		return c
-	}
-	for _, con := range p.Constraints {
-		w := con.width()
-		if con.IsEquality() {
-			rows = append(rows, row{coef: structRow(con.Coeffs, 0, 1), slack: 0, rhs: ratOf(con.Lo)})
-			continue
-		}
-		if !math.IsInf(con.Lo, 0) {
-			rows = append(rows, row{coef: structRow(con.Coeffs, w, -1), slack: -1, rhs: ratOf(con.Lo)})
-		}
-		if !math.IsInf(con.Hi, 0) {
-			rows = append(rows, row{coef: structRow(con.Coeffs, w, +1), slack: +1, rhs: ratOf(con.Hi)})
-		}
-	}
-	capCoef := make([]*big.Rat, nStruct)
-	for j := range capCoef {
-		capCoef[j] = new(big.Rat)
-	}
-	capCoef[2*k] = big.NewRat(1, 1)
-	capCoef[2*k+1] = big.NewRat(-1, 1)
-	rows = append(rows, row{coef: capCoef, slack: +1, rhs: big.NewRat(1, 1)})
-
 	m := len(rows)
 	n := nStruct + m + m // slacks + artificials
 	artStart := nStruct + m
 
 	t := newRatTableau(m, n)
 	for i, r := range rows {
-		sign := 1
-		if r.rhs.Sign() < 0 {
+		sign := 1.0
+		if r.rhs < 0 {
 			sign = -1
 		}
 		for j, a := range r.coef {
-			if a == nil || a.Sign() == 0 {
-				continue
+			if a != 0 {
+				t.set(i, j, new(big.Rat).SetFloat64(sign*a))
 			}
-			v := new(big.Rat).Set(a)
-			if sign < 0 {
-				v.Neg(v)
-			}
-			t.set(i, j, v)
 		}
 		if r.slack != 0 {
-			s := big.NewRat(int64(r.slack*sign), 1)
-			t.set(i, nStruct+i, s)
+			t.set(i, nStruct+i, new(big.Rat).SetFloat64(sign*r.slack))
 		}
 		t.set(i, artStart+i, big.NewRat(1, 1))
-		rhs := new(big.Rat).Set(r.rhs)
-		if sign < 0 {
-			rhs.Neg(rhs)
-		}
-		t.set(i, n, rhs)
+		t.set(i, n, new(big.Rat).SetFloat64(sign*r.rhs))
 		t.basis[i] = artStart + i
 	}
 

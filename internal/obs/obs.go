@@ -62,7 +62,8 @@ const (
 	CtrClarksonIters           Counter = "clarkson.iters"            // sampling iterations
 	CtrClarksonSamples         Counter = "clarkson.samples"          // iterations that drew and solved a weighted sample
 	CtrClarksonWeightDoublings Counter = "clarkson.weight_doublings" // lucky iterations (violated weights doubled)
-	CtrClarksonExactSolves     Counter = "clarkson.exact_solves"     // escalations to the exact rational simplex
+	CtrClarksonExactSolves     Counter = "clarkson.exact_solves"     // escalations to the exact solver
+	CtrClarksonExactFallbacks  Counter = "clarkson.exact_fallbacks"  // exact solves the basis certificate could not close, so the rational tableau ran
 
 	// Rescue-ladder rungs consumed by kernels whose baseline search ran dry
 	// (internal/gen solveKernel).
@@ -141,7 +142,7 @@ const (
 func Taxonomy() []Counter {
 	return []Counter{
 		CtrClarksonAttempts, CtrClarksonIters, CtrClarksonSamples,
-		CtrClarksonWeightDoublings, CtrClarksonExactSolves,
+		CtrClarksonWeightDoublings, CtrClarksonExactSolves, CtrClarksonExactFallbacks,
 		CtrRescueSeedRotations, CtrRescueBudgetEscalations, CtrRescueDegradations,
 		CtrOracleQueries, CtrOracleCacheHits, CtrOracleZivEscalations,
 		CtrOracleFullEvals, CtrOracleShortcuts,
