@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check check-fault check-store check-serve check-campaign check-perfbench test race bench bench-parallel bench-pipeline bench-obs bench-eval bench-serve vet build lint lint-json report
+.PHONY: check check-fault check-oracle check-store check-serve check-campaign check-perfbench test race bench bench-parallel bench-pipeline bench-obs bench-eval bench-serve vet build lint lint-json report
 
 check:
 	@echo '== vet =='
@@ -16,6 +16,8 @@ check:
 	@$(MAKE) --no-print-directory lint
 	@echo '== check-fault =='
 	@$(MAKE) --no-print-directory check-fault
+	@echo '== check-oracle =='
+	@$(MAKE) --no-print-directory check-oracle
 	@echo '== check-store =='
 	@$(MAKE) --no-print-directory check-store
 	@echo '== check-serve =='
@@ -49,6 +51,22 @@ lint-json:
 check-fault:
 	$(GO) test -race -run 'Fault|Plan|Sites|Panic|Corrupt|Cancel|Audit|Error' \
 		./internal/fault/ ./internal/cli/ ./internal/pipeline/ ./internal/parallel/
+
+# The oracle pin: every tensorfloat32 input of every function, in all five
+# modes, checked by rlibm-check against the shipped internal/libm tables.
+# Those tables were certified exhaustively by an oracle without the
+# double-double first step, so any disagreement here is an oracle that
+# changed its answers (or a table that changed), and fails the gate.
+ORACLE_FUNCS = ln log2 log10 exp exp2 exp10 sinh cosh sinpi cospi
+check-oracle:
+	$(eval ORACLE_DIR := $(shell mktemp -d))
+	$(GO) build -o $(ORACLE_DIR)/rlibm-check ./cmd/rlibm-check
+	status=0; \
+	  for fn in $(ORACLE_FUNCS); do \
+	    $(ORACLE_DIR)/rlibm-check -func $$fn -format F19,8 -no-cache || status=1; \
+	  done; \
+	  rm -rf $(ORACLE_DIR); \
+	  test $$status -eq 0
 
 # The store/distribution gate: every backend (disk, memory, remote
 # loopback) must generate bit-identical coefficients, a two-process

@@ -115,9 +115,11 @@ func (c CRLibm) Value(x float64, mode fp.Mode) float64 {
 		return w.Decode(w.FromFloat64(v.Hi, mode))
 	}
 	// Subnormal-adjacent working results lose the dd error structure:
-	// straight to the slow path.
+	// straight to the slow path. Elsewhere the first step trusts the
+	// kernels' 2^-58 design bound, tighter than the oracle's, as CR-LIBM's
+	// own first step does.
 	if math.Abs(v.Hi) > math.Ldexp(1, -960) {
-		if bits, ok := roundDDUnambiguous(w, v, mode); ok {
+		if bits, ok := v.Round(w, mode, 0x1p-58); ok {
 			return w.Decode(bits)
 		}
 	}
@@ -129,18 +131,4 @@ func (c CRLibm) Value(x float64, mode fp.Mode) float64 {
 // narrower targets exactly like re-purposed CR-LIBM.
 func (c CRLibm) Bits(x float64, out fp.Format, mode fp.Mode) uint64 {
 	return out.FromFloat64(c.Value(x, mode), mode)
-}
-
-// roundDDUnambiguous rounds the exact sum v.Hi+v.Lo into w under mode,
-// reporting failure when the dd error envelope (2^-58 relative) straddles a
-// rounding boundary — the Ziv step-one test, entirely in fixed-width
-// arithmetic via fp.FromSum.
-func roundDDUnambiguous(w fp.Format, v dd.DD, mode fp.Mode) (uint64, bool) {
-	eps := math.Abs(v.Hi) * 0x1p-58
-	a := w.FromSum(v.Hi, v.Lo-eps, mode)
-	b := w.FromSum(v.Hi, v.Lo+eps, mode)
-	if a != b {
-		return 0, false
-	}
-	return a, true
 }

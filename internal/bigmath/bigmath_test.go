@@ -175,6 +175,10 @@ func TestExactValue(t *testing.T) {
 		{SinPi, 2.5, 1}, {SinPi, -2.5, -1}, {SinPi, 0.25, none},
 		{CosPi, 0, 1}, {CosPi, 1, -1}, {CosPi, 2, 1}, {CosPi, 0.5, 0},
 		{CosPi, -1.5, 0}, {CosPi, 0.75, none},
+		{CosPi, 1<<53 - 1, -1}, {CosPi, 1 << 53, 1}, {CosPi, -(1<<53 + 2), 1},
+		{CosPi, math.Ldexp(1, 127), 1}, {CosPi, -math.MaxFloat64, 1},
+		{Log10, 1e22, 22}, {Log10, 1e23, none}, {Exp10, 22, 1e22},
+		{Exp2, 1023, math.Ldexp(1, 1023)}, {Exp2, -1074, math.Ldexp(1, -1074)},
 	}
 	for _, c := range cases {
 		v, ok := ExactValue(c.f, c.x)
@@ -214,6 +218,67 @@ func TestExactValue(t *testing.T) {
 	}
 	if got := fp.Bfloat16.FromBig(v, fp.RoundTowardZero); got != fp.Bfloat16.MaxFinite() {
 		t.Errorf("2^200 rz: %#x", got)
+	}
+}
+
+// ExactFloat64 must agree with ExactValue on every input, zeros' signs
+// included, and leave exactly the results beyond a double to ExactValue:
+// 2^k outside the double range and 10^k for k > 22. Rounding its double
+// with FromFloat64 must give FromBig's bits in every mode, which is what
+// lets the oracle skip the big.Float.
+func TestExactFloat64(t *testing.T) {
+	var xs []float64
+	for b := uint64(0); b < fp.Bfloat16.NumValues(); b++ {
+		xs = append(xs, fp.Bfloat16.Decode(b))
+	}
+	for k := -1100; k <= 1100; k++ {
+		xs = append(xs, float64(k), float64(k)+0.5, -float64(k)-0.5)
+	}
+	for k := 0; k <= 40; k++ {
+		xs = append(xs, math.Pow10(k))
+	}
+	xs = append(xs, 1<<53, -(1 << 60), math.MaxFloat64, math.Copysign(0, -1))
+	outs := []fp.Format{fp.Bfloat16, fp.MustFormat(12, 5), fp.TensorFloat32.Extend(2)}
+	for _, f := range AllFuncs {
+		for _, x := range xs {
+			v, ok := ExactFloat64(f, x)
+			want, exact := ExactValue(f, x)
+			if !exact {
+				if ok {
+					t.Errorf("%v(%g): ExactFloat64 = %g, but ExactValue says inexact", f, x, v)
+				}
+				continue
+			}
+			if !ok {
+				if d, acc := want.Float64(); acc == big.Exact && !math.IsInf(d, 0) && d != 0 {
+					t.Errorf("%v(%g) = %g is a double, but ExactFloat64 declines it", f, x, d)
+				}
+				if f != Exp2 && f != Exp10 {
+					t.Errorf("%v(%g): only exp2/exp10 have exact results beyond a double", f, x)
+				}
+				continue
+			}
+			if new(big.Float).SetFloat64(v).Cmp(want) != 0 || math.Signbit(v) != want.Signbit() {
+				t.Errorf("%v(%g): ExactFloat64 = %g, ExactValue = %v", f, x, v, want)
+				continue
+			}
+			for _, out := range outs {
+				for _, m := range fp.AllModes {
+					if got, w := out.FromFloat64(v, m), out.FromBig(want, m); got != w {
+						t.Errorf("%v(%g) in %v %v: FromFloat64 %#x, FromBig %#x", f, x, out, m, got, w)
+					}
+				}
+			}
+		}
+	}
+	if _, ok := ExactFloat64(Exp10, 23); ok {
+		t.Error("10^23 is no double")
+	}
+	if v, ok := ExactValue(Exp10, 23); !ok || v.Cmp(new(big.Float).SetInt(new(big.Int).Exp(big.NewInt(10), big.NewInt(23), nil))) != 0 {
+		t.Errorf("ExactValue(exp10, 23) = %v, %v; want exactly 10^23", v, ok)
+	}
+	if v, ok := ExactValue(Exp2, -1075); !ok || v.MantExp(nil) != -1074 {
+		t.Errorf("ExactValue(exp2, -1075) = %v, %v; want exactly 2^-1075", v, ok)
 	}
 }
 

@@ -73,14 +73,10 @@ func (f Func) Float64(x float64) float64 {
 		if math.IsInf(x, 0) {
 			return math.NaN()
 		}
-		if v, ok := ExactValue(SinPi, x); ok {
+		if v, ok := ExactFloat64(SinPi, x); ok {
 			// Vendor sinpi implementations honour the exact grid (±0, ±1
 			// at half-integers); mod+sin would return 1e-16-grade noise.
-			f, _ := v.Float64()
-			if v.Signbit() {
-				f = math.Copysign(f, -1)
-			}
-			return f
+			return v
 		}
 		z := math.Mod(x, 2)
 		return math.Sin(math.Pi * z)
@@ -88,9 +84,8 @@ func (f Func) Float64(x float64) float64 {
 		if math.IsInf(x, 0) {
 			return math.NaN()
 		}
-		if v, ok := ExactValue(CosPi, x); ok {
-			f, _ := v.Float64()
-			return f
+		if v, ok := ExactFloat64(CosPi, x); ok {
+			return v
 		}
 		z := math.Mod(x, 2)
 		return math.Cos(math.Pi * z)

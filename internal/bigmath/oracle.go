@@ -78,64 +78,85 @@ func SpecialBits(f Func, x float64, out fp.Format) (uint64, bool) {
 //   - sin(πx)/cos(πx) for binary-rational x are irrational unless 2x is an
 //     integer (Niven: the rational values ±1/2 occur only at denominators
 //     divisible by 3, which are not binary).
+//
+// Every exact result but 2^k beyond the double range and 10^k for k > 22
+// is a double; ExactFloat64 returns those without allocating.
 func ExactValue(f Func, x float64) (*big.Float, bool) {
-	if math.IsNaN(x) || math.IsInf(x, 0) {
+	if v, ok := ExactFloat64(f, x); ok {
+		return new(big.Float).SetPrec(64).SetFloat64(v), true
+	}
+	if math.IsInf(x, 0) || x != math.Trunc(x) {
 		return nil, false
 	}
-	exact := func(v float64) (*big.Float, bool) {
-		return new(big.Float).SetPrec(64).SetFloat64(v), true
+	switch {
+	case f == Exp2 && math.Abs(x) < 1<<20:
+		v := new(big.Float).SetPrec(64).SetInt64(1)
+		v.SetMantExp(v, int(x))
+		return v, true
+	case f == Exp10 && x > 0 && x < 512:
+		p := new(big.Int).Exp(big.NewInt(10), big.NewInt(int64(x)), nil)
+		return new(big.Float).SetPrec(uint(p.BitLen()) + 1).SetInt(p), true
+	}
+	return nil, false
+}
+
+// maxExactPow10 is the largest k with 10^k a double: 10^k = 5^k·2^k needs
+// 5^k < 2^53.
+const maxExactPow10 = 22
+
+// ExactFloat64 is ExactValue for the exact results that are doubles (see
+// there): it returns the result as a float64, zeros carrying their sign,
+// and allocates nothing. It reports false for every other input, including
+// the exact 2^k and 10^k beyond a double, which only ExactValue returns.
+func ExactFloat64(f Func, x float64) (float64, bool) {
+	if math.IsNaN(x) || math.IsInf(x, 0) {
+		return 0, false
 	}
 	switch f {
 	case Ln:
 		if x == 1 {
-			return exact(0)
+			return 0, true
 		}
 	case Log2:
 		if x > 0 {
 			if frac, exp := math.Frexp(x); frac == 0.5 {
-				return new(big.Float).SetPrec(64).SetInt64(int64(exp - 1)), true
+				return float64(exp - 1), true
 			}
 		}
 	case Log10:
 		if x > 0 {
+			// A power of ten beyond maxExactPow10 is no double, so it
+			// cannot equal x.
 			k := math.Round(math.Log10(x))
-			if k >= 0 && k < 40 {
-				p := new(big.Int).Exp(big.NewInt(10), big.NewInt(int64(k)), nil)
-				if v := new(big.Float).SetPrec(uint(p.BitLen()) + 1).SetInt(p); v.Cmp(new(big.Float).SetPrec(53).SetFloat64(x)) == 0 {
-					return new(big.Float).SetPrec(64).SetInt64(int64(k)), true
-				}
+			//lint:ignore floateq math.Pow10 returns 10^k exactly for k ≤ maxExactPow10; the test is x's identity with it.
+			if k >= 0 && k <= maxExactPow10 && x == math.Pow10(int(k)) {
+				return k, true
 			}
 		}
 	case Exp:
 		if x == 0 {
-			return exact(1)
+			return 1, true
 		}
 	case Exp2:
-		if x == math.Trunc(x) && math.Abs(x) < 1<<20 {
-			v := new(big.Float).SetPrec(64).SetInt64(1)
-			v.SetMantExp(v, int(x))
-			return v, true
+		if x == math.Trunc(x) && x >= -1074 && x <= 1023 {
+			return math.Ldexp(1, int(x)), true
 		}
 	case Exp10:
-		if x == 0 {
-			return exact(1)
-		}
-		if x == math.Trunc(x) && x > 0 && x < 512 {
-			p := new(big.Int).Exp(big.NewInt(10), big.NewInt(int64(x)), nil)
-			return new(big.Float).SetPrec(uint(p.BitLen()) + 1).SetInt(p), true
+		if x == math.Trunc(x) && x >= 0 && x <= maxExactPow10 {
+			return math.Pow10(int(x)), true
 		}
 	case Sinh:
 		if x == 0 {
-			return exact(x) // preserves the sign of zero
+			return x, true // preserves the sign of zero
 		}
 	case Cosh:
 		if x == 0 {
-			return exact(1)
+			return 1, true
 		}
 	case SinPi:
 		if 2*x == math.Trunc(2*x) {
 			if x == math.Trunc(x) {
-				return exact(math.Copysign(0, x))
+				return math.Copysign(0, x), true
 			}
 			z := math.Mod(math.Abs(x), 2) // 0.5 or 1.5
 			v := 1.0
@@ -145,22 +166,27 @@ func ExactValue(f Func, x float64) (*big.Float, bool) {
 			if math.Signbit(x) {
 				v = -v
 			}
-			return exact(v)
+			return v, true
 		}
 	case CosPi:
 		if 2*x == math.Trunc(2*x) {
-			z := math.Mod(math.Abs(x), 2)
-			switch z {
+			if math.Abs(x) >= 1<<53 {
+				// Every double this large is an even integer. The check
+				// also spares math.Mod, whose loop runs once per binade
+				// between |x| and 2.
+				return 1, true
+			}
+			switch math.Mod(math.Abs(x), 2) {
 			case 0:
-				return exact(1)
+				return 1, true
 			case 1:
-				return exact(-1)
+				return -1, true
 			default: // 0.5, 1.5
-				return exact(0)
+				return 0, true
 			}
 		}
 	}
-	return nil, false
+	return 0, false
 }
 
 // saturated short-circuits the exponential-family functions when |x| is so

@@ -3,6 +3,7 @@ package dd
 import (
 	"math"
 	"math/big"
+	"sync"
 
 	"repro/internal/bigmath"
 )
@@ -47,7 +48,14 @@ func round32(v float64) float64 {
 	return math.Ldexp(math.Round(f*(1<<32))/(1<<32), e)
 }
 
-func init() {
+// tablesOnce guards initTables. The tables cost some 450 big.Float
+// evaluations, so they are built on the first Eval rather than at package
+// init: a program that links the package without evaluating (every command
+// that imports the oracle but never queries it) skips the work and the
+// garbage it leaves behind.
+var tablesOnce sync.Once
+
+func initTables() {
 	for j := 0; j < 64; j++ {
 		if j == 0 {
 			exp2JDD[0] = DD{1, 0}

@@ -14,6 +14,7 @@ import (
 // exact 140-bit constant to well beyond double precision, with a hi part
 // that carries at most 32 mantissa bits so N·hi stays exact.
 func TestHiLoTables(t *testing.T) {
+	tablesOnce.Do(initTables)
 	check := func(name string, hi, lo float64, exact *big.Float, div int64) {
 		t.Helper()
 		if round32(hi) != hi {

@@ -31,7 +31,7 @@ func (f Format) FromSum(hi, lo float64, m Mode) uint64 {
 	a, b := hi*sign, lo*sign // a > 0, |b| ≤ a/4
 
 	p := f.MantBits()
-	fracA, expA := math.Frexp(a)
+	_, expA := math.Frexp(a)
 	// Early overflow/underflow clamps (|b| ≤ a/4 cannot change them).
 	if expA-1 > f.EMax()+1 {
 		return f.overflowBits(m, negative)
@@ -41,11 +41,16 @@ func (f Format) FromSum(hi, lo float64, m Mode) uint64 {
 		return f.assembleBits(m, n, f.EMin()-p, negative)
 	}
 
-	// Quantum exponent: the target's ulp at the magnitude of the sum. A
-	// negative b can pull the value just below a power-of-two a into the
-	// finer binade.
-	ebin := expA - 1
-	if fracA == 0.5 && b < 0 {
+	// Quantum exponent: the target's ulp at the magnitude of the sum. The
+	// binade is that of s = rn(a+b), one lower when s is a power of two and
+	// the exact error e of that sum is negative. Looking at a alone is not
+	// enough: a b beyond ulp(a)/2 can move the sum across a's binade edge.
+	s := a + b
+	bb := s - a
+	e := (a - (s - bb)) + (b - bb)
+	fracS, expS := math.Frexp(s)
+	ebin := expS - 1
+	if fracS == 0.5 && e < 0 {
 		ebin--
 	}
 	qe := ebin - p

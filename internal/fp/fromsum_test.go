@@ -90,6 +90,38 @@ func TestFromSumBoundaries(t *testing.T) {
 	}
 }
 
+// A lo far above ulp(hi)/2 — an error envelope around a double-double
+// value — can carry the sum across a binade edge of hi in either
+// direction; the quantum must follow the sum, not hi.
+func TestFromSumLoCrossesBinade(t *testing.T) {
+	rng := rand.New(rand.NewSource(93))
+	for _, f := range []Format{TensorFloat32, MustFormat(34, 8), MustFormat(49, 10)} {
+		for trial := 0; trial < 20000; trial++ {
+			e := rng.Intn(200) - 100
+			hi := math.Ldexp(1, e)
+			switch trial % 3 {
+			case 1:
+				hi = math.Nextafter(hi, math.Inf(1))
+			case 2:
+				hi = math.Nextafter(hi, 0)
+			}
+			lo := math.Ldexp(rng.Float64()-0.5, e-rng.Intn(60))
+			if rng.Intn(2) == 0 {
+				hi, lo = -hi, -lo
+			}
+			if lo == 0 || math.Abs(lo) > math.Abs(hi)/4 {
+				continue
+			}
+			for _, m := range AllModes {
+				got := f.FromSum(hi, lo, m)
+				if want := refFromSum(f, hi, lo, m); got != want {
+					t.Fatalf("%v FromSum(%x, %x, %v) = %#x want %#x", f, hi, lo, m, got, want)
+				}
+			}
+		}
+	}
+}
+
 // Range edges: overflow, underflow, subnormal results.
 func TestFromSumRangeEdges(t *testing.T) {
 	f := Bfloat16

@@ -74,6 +74,7 @@ const (
 	// Oracle query paths (internal/oracle; recorded as a per-function
 	// Stats delta by internal/cli).
 	CtrOracleQueries        Counter = "oracle.queries"         // total queries answered
+	CtrOracleDDHits         Counter = "oracle.dd_hits"         // double-double first-step answers
 	CtrOracleCacheHits      Counter = "oracle.cache_hits"      // identity-sharing cache answers
 	CtrOracleZivEscalations Counter = "oracle.ziv_escalations" // shared-path answers too ambiguous to round
 	CtrOracleFullEvals      Counter = "oracle.full_evals"      // full Ziv evaluations
@@ -144,7 +145,7 @@ func Taxonomy() []Counter {
 		CtrClarksonAttempts, CtrClarksonIters, CtrClarksonSamples,
 		CtrClarksonWeightDoublings, CtrClarksonExactSolves, CtrClarksonExactFallbacks,
 		CtrRescueSeedRotations, CtrRescueBudgetEscalations, CtrRescueDegradations,
-		CtrOracleQueries, CtrOracleCacheHits, CtrOracleZivEscalations,
+		CtrOracleQueries, CtrOracleDDHits, CtrOracleCacheHits, CtrOracleZivEscalations,
 		CtrOracleFullEvals, CtrOracleShortcuts,
 		CtrRowsEnumerated, CtrRowsReduced,
 		CtrSpecialsResolved, CtrVerifyPatched,

@@ -14,10 +14,15 @@
 //     range round identically to a saturated proxy value;
 //   - anchor shortcuts: where |f(x) − a| is provably below half an output
 //     ulp of a representable anchor a (e^x near 1, sinh x near x, cosh x
-//     near 1), the rounded result is decided directly from the direction of
-//     the residual.
+//     and cosπ x near 1), the rounded result is decided directly from the
+//     direction of the residual;
+//   - double-double first step: the internal/dd kernel's value, widened by
+//     its error bound dd.RelErrBound, decides the result whenever the whole
+//     envelope rounds to one output value (CR-LIBM's two-step Ziv).
 //
-// Everything else falls through to the Ziv loop in bigmath.
+// A query whose dd envelope straddles a rounding boundary falls through
+// to the identity-sharing caches (logs, sinπ/cosπ) or to the Ziv loop in
+// bigmath.
 //
 // # Concurrency
 //
@@ -27,7 +32,9 @@
 // lock-striped maps of immutable *big.Float values (two workers racing on
 // the same key may both compute it; the values are deterministic, so either
 // insertion is correct), and the Stats path counters are maintained with
-// sync/atomic. Stats() taken while queries are in flight returns a
+// sync/atomic in cache-line-padded stripes, one picked per query by the
+// input's exponent bits, so workers on different input ranges rarely write
+// the same line. Stats() taken while queries are in flight returns a
 // consistent-enough snapshot for reporting; quiesce all workers first when
 // an exact total is required.
 package oracle
@@ -39,6 +46,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/bigmath"
+	"repro/internal/dd"
 	"repro/internal/fault"
 	"repro/internal/fp"
 	"repro/internal/obs"
@@ -56,6 +64,7 @@ type Stats struct {
 	Exacts    uint64 // number-theoretically exact results
 	Clamps    uint64 // overflow/underflow range clamps
 	Anchors   uint64 // anchor shortcuts (result adjacent to a known value)
+	DD        uint64 // double-double first-step answers
 	Shared    uint64 // identity-sharing cache hits
 	FullEvals uint64 // full Ziv evaluations
 	Ambiguous uint64 // shared-path answers that had to escalate to Ziv
@@ -63,7 +72,7 @@ type Stats struct {
 
 // Total returns the total number of queries answered.
 func (s Stats) Total() uint64 {
-	return s.Specials + s.Exacts + s.Clamps + s.Anchors + s.Shared + s.FullEvals
+	return s.Specials + s.Exacts + s.Clamps + s.Anchors + s.DD + s.Shared + s.FullEvals
 }
 
 // Sub returns the counter-wise difference s − t. Taking two snapshots
@@ -75,6 +84,7 @@ func (s Stats) Sub(t Stats) Stats {
 		Exacts:    s.Exacts - t.Exacts,
 		Clamps:    s.Clamps - t.Clamps,
 		Anchors:   s.Anchors - t.Anchors,
+		DD:        s.DD - t.DD,
 		Shared:    s.Shared - t.Shared,
 		FullEvals: s.FullEvals - t.FullEvals,
 		Ambiguous: s.Ambiguous - t.Ambiguous,
@@ -82,27 +92,40 @@ func (s Stats) Sub(t Stats) Stats {
 }
 
 // RecordTo writes the snapshot onto sp under the oracle.* counter taxonomy:
-// queries (total answered), cache_hits (identity sharing), ziv_escalations
-// (ambiguous shared answers), full_evals, and shortcuts (specials + exacts
-// + clamps + anchors). Nil-safe like every obs write.
+// queries (total answered), dd_hits (double-double first step),
+// cache_hits (identity sharing), ziv_escalations (ambiguous shared
+// answers), full_evals, and shortcuts (specials + exacts + clamps +
+// anchors). Nil-safe like every obs write.
 func (s Stats) RecordTo(sp *obs.Span) {
 	sp.Add(obs.CtrOracleQueries, int64(s.Total()))
+	sp.Add(obs.CtrOracleDDHits, int64(s.DD))
 	sp.Add(obs.CtrOracleCacheHits, int64(s.Shared))
 	sp.Add(obs.CtrOracleZivEscalations, int64(s.Ambiguous))
 	sp.Add(obs.CtrOracleFullEvals, int64(s.FullEvals))
 	sp.Add(obs.CtrOracleShortcuts, int64(s.Specials+s.Exacts+s.Clamps+s.Anchors))
 }
 
-// counters is the internal race-free representation of Stats.
+// counters is one stripe of the internal race-free representation of
+// Stats, padded so that no two stripes share a cache line or the adjacent
+// line a prefetcher pulls in with it.
 type counters struct {
 	specials  atomic.Uint64
 	exacts    atomic.Uint64
 	clamps    atomic.Uint64
 	anchors   atomic.Uint64
+	dd        atomic.Uint64
 	shared    atomic.Uint64
 	fullEvals atomic.Uint64
 	ambiguous atomic.Uint64
+	_         [64]byte
 }
+
+// counterStripes is how many counter stripes an oracle keeps; Stats sums
+// them. A query counts into the stripe its input's exponent bits pick, so
+// workers sweeping different contiguous input ranges mostly count into
+// different cache lines. With one shared set, the line would move between
+// cores on every query, at a cost comparable to a whole dd-path answer.
+const counterStripes = 16
 
 // cacheStripes is the stripe count of the shared value caches; a power of
 // two so the stripe index is a shift-and-mask.
@@ -174,7 +197,7 @@ func (c *bigCache) size() int {
 // concurrency contract.
 type Oracle struct {
 	fn     bigmath.Func
-	stats  counters
+	stats  [counterStripes]counters
 	faults *fault.Plan
 
 	// logCache maps the frexp mantissa bits of x to f(m) at cachePrec,
@@ -208,15 +231,24 @@ func (o *Oracle) SetFaults(p *fault.Plan) { o.faults = p }
 
 // Stats returns a snapshot of the path counters.
 func (o *Oracle) Stats() Stats {
-	return Stats{
-		Specials:  o.stats.specials.Load(),
-		Exacts:    o.stats.exacts.Load(),
-		Clamps:    o.stats.clamps.Load(),
-		Anchors:   o.stats.anchors.Load(),
-		Shared:    o.stats.shared.Load(),
-		FullEvals: o.stats.fullEvals.Load(),
-		Ambiguous: o.stats.ambiguous.Load(),
+	var s Stats
+	for i := range o.stats {
+		c := &o.stats[i]
+		s.Specials += c.specials.Load()
+		s.Exacts += c.exacts.Load()
+		s.Clamps += c.clamps.Load()
+		s.Anchors += c.anchors.Load()
+		s.DD += c.dd.Load()
+		s.Shared += c.shared.Load()
+		s.FullEvals += c.fullEvals.Load()
+		s.Ambiguous += c.ambiguous.Load()
 	}
+	return s
+}
+
+// counters returns the counter stripe of a query for input x.
+func (o *Oracle) counters(x float64) *counters {
+	return &o.stats[(math.Float64bits(x)>>52)%counterStripes]
 }
 
 // Result returns the bits of fn(x) correctly rounded into out under mode.
@@ -228,20 +260,29 @@ func (o *Oracle) Result(x float64, out fp.Format, mode fp.Mode) uint64 {
 		panic(fault.New(fault.CodeOracleExhausted, "enumerate", "ziv",
 			fault.Injected(fault.SiteOracleZiv)).WithFunc(o.fn.String()))
 	}
+	c := o.counters(x)
 	if bits, ok := bigmath.SpecialBits(o.fn, x, out); ok {
-		o.stats.specials.Add(1)
+		c.specials.Add(1)
 		return bits
 	}
+	if v, ok := bigmath.ExactFloat64(o.fn, x); ok {
+		c.exacts.Add(1)
+		return out.FromFloat64(v, mode)
+	}
 	if v, ok := bigmath.ExactValue(o.fn, x); ok {
-		o.stats.exacts.Add(1)
+		c.exacts.Add(1)
 		return out.FromBig(v, mode)
 	}
 	if bits, ok := o.rangeClamp(x, out, mode); ok {
-		o.stats.clamps.Add(1)
+		c.clamps.Add(1)
 		return bits
 	}
 	if bits, ok := o.anchorShortcut(x, out, mode); ok {
-		o.stats.anchors.Add(1)
+		c.anchors.Add(1)
+		return bits
+	}
+	if bits, ok := o.ddFirstStep(x, out, mode); ok {
+		c.dd.Add(1)
 		return bits
 	}
 	switch o.fn {
@@ -250,7 +291,7 @@ func (o *Oracle) Result(x float64, out fp.Format, mode fp.Mode) uint64 {
 	case bigmath.SinPi, bigmath.CosPi:
 		return o.trigShared(x, out, mode)
 	}
-	o.stats.fullEvals.Add(1)
+	c.fullEvals.Add(1)
 	return out.FromBig(bigmath.EvalUnambiguous(o.fn, x, out, mode), mode)
 }
 
@@ -314,8 +355,29 @@ func (o *Oracle) anchorShortcut(x float64, out fp.Format, mode fp.Mode) (uint64,
 		if math.Abs(x) <= math.Ldexp(1, -(p+6)/2-1) {
 			return justAside(out, 1, true, mode), true
 		}
+	case bigmath.CosPi:
+		// 0 < 1 − cosπ x < (πx)²/2 < 5x² for x ≠ 0, and half the gap
+		// below 1 is 2^-(p+2). With |x| ≤ 2^-k, k = (p+2)/2+3 ≥ (p+7)/2,
+		// 5x² ≤ 5·2^-(p+7) < 2^-(p+2).
+		if math.Abs(x) <= math.Ldexp(1, -((p+2)/2+3)) {
+			return justAside(out, 1, false, mode), true
+		}
 	}
 	return 0, false
+}
+
+// ddFirstStep rounds the double-double value of fn(x) into out when its
+// error envelope hi + lo ± |hi|·dd.RelErrBound, which holds the exact
+// value, rounds to one value of (out, mode). It declines results outside
+// [dd.MinResult, dd.MaxResult] in magnitude (including the kernels'
+// special and saturated values) and envelopes that straddle a rounding
+// boundary.
+func (o *Oracle) ddFirstStep(x float64, out fp.Format, mode fp.Mode) (uint64, bool) {
+	v := dd.Eval(o.fn, x)
+	if a := math.Abs(v.Hi); !(a >= dd.MinResult && a <= dd.MaxResult) {
+		return 0, false
+	}
+	return v.Round(out, mode, dd.RelErrBound)
 }
 
 // justAside returns the rounding of anchor+δ (positiveDelta) or anchor−δ,
@@ -390,12 +452,13 @@ func (o *Oracle) logShared(x float64, out fp.Format, mode fp.Mode) uint64 {
 		y.Mul(eb, bigmath.Log10Of2(cachePrec))
 	}
 	y.Add(y, fm)
+	c := o.counters(x)
 	if bits, ok := o.roundUnlessAmbiguous(y, out, mode); ok {
-		o.stats.shared.Add(1)
+		c.shared.Add(1)
 		return bits
 	}
-	o.stats.ambiguous.Add(1)
-	o.stats.fullEvals.Add(1)
+	c.ambiguous.Add(1)
+	c.fullEvals.Add(1)
 	return out.FromBig(bigmath.EvalUnambiguous(o.fn, x, out, mode), mode)
 }
 
@@ -410,12 +473,13 @@ func (o *Oracle) trigShared(x float64, out fp.Format, mode fp.Mode) uint64 {
 	if o.fn == bigmath.SinPi && math.Signbit(x) {
 		y = new(big.Float).SetPrec(cachePrec).Neg(fz)
 	}
+	c := o.counters(x)
 	if bits, ok := o.roundUnlessAmbiguous(y, out, mode); ok {
-		o.stats.shared.Add(1)
+		c.shared.Add(1)
 		return bits
 	}
-	o.stats.ambiguous.Add(1)
-	o.stats.fullEvals.Add(1)
+	c.ambiguous.Add(1)
+	c.fullEvals.Add(1)
 	return out.FromBig(bigmath.EvalUnambiguous(o.fn, x, out, mode), mode)
 }
 

@@ -11,29 +11,31 @@ import (
 )
 
 // Exhaustive cross-validation against the unaccelerated bigmath oracle on a
-// small format with the full exponent range: every accelerated path must
-// agree bit-for-bit with the reference on every input.
+// format with the full exponent range, in every mode: every accelerated
+// path must agree bit-for-bit with the reference on every input.
 func TestResultMatchesReferenceExhaustive(t *testing.T) {
-	in := fp.MustFormat(12, 8)
+	in := fp.MustFormat(14, 8)
 	out := in.Extend(2)
-	modes := []fp.Mode{fp.RoundNearestEven, fp.RoundToOdd, fp.RoundTowardPositive}
 	for _, fn := range bigmath.AllFuncs {
-		o := New(fn)
-		for b := uint64(0); b < in.NumValues(); b++ {
-			x := in.Decode(b)
-			for _, mode := range modes {
-				got := o.Result(x, out, mode)
-				want := bigmath.CorrectlyRounded(fn, x, out, mode)
-				if got != want {
-					t.Fatalf("%v(%g) [in bits %#x] mode %v: got %#x want %#x",
-						fn, x, b, mode, got, want)
+		t.Run(fn.String(), func(t *testing.T) {
+			t.Parallel()
+			o := New(fn)
+			for b := uint64(0); b < in.NumValues(); b++ {
+				x := in.Decode(b)
+				for _, mode := range fp.AllModes {
+					got := o.Result(x, out, mode)
+					want := bigmath.CorrectlyRounded(fn, x, out, mode)
+					if got != want {
+						t.Fatalf("%v(%g) [in bits %#x] mode %v: got %#x want %#x",
+							fn, x, b, mode, got, want)
+					}
 				}
 			}
-		}
-		s := o.Stats()
-		if s.Total() != in.NumValues()*uint64(len(modes)) {
-			t.Errorf("%v: stats total %d != queries %d", fn, s.Total(), in.NumValues()*uint64(len(modes)))
-		}
+			s := o.Stats()
+			if s.Total() != in.NumValues()*uint64(len(fp.AllModes)) {
+				t.Errorf("stats total %d != queries %d", s.Total(), in.NumValues()*uint64(len(fp.AllModes)))
+			}
+		})
 	}
 }
 
@@ -59,7 +61,8 @@ func TestResultMatchesReferenceRandom(t *testing.T) {
 	}
 }
 
-// The shortcut paths must actually fire on their target regions.
+// The shortcut paths and the double-double first step must actually fire
+// on their target regions.
 func TestAccelerationPathsFire(t *testing.T) {
 	out := fp.MustFormat(27, 8)
 
@@ -69,25 +72,87 @@ func TestAccelerationPathsFire(t *testing.T) {
 	o.Result(-500, out, fp.RoundNearestEven)         // underflow clamp
 	o.Result(0, out, fp.RoundNearestEven)            // exact
 	o.Result(math.Inf(1), out, fp.RoundNearestEven)  // special
-	o.Result(1.5, out, fp.RoundNearestEven)          // full eval
+	o.Result(1.5, out, fp.RoundNearestEven)          // dd first step
 	s := o.Stats()
-	if s.Anchors != 1 || s.Clamps != 2 || s.Exacts != 1 || s.Specials != 1 || s.FullEvals != 1 {
+	if s.Anchors != 1 || s.Clamps != 2 || s.Exacts != 1 || s.Specials != 1 || s.DD != 1 || s.FullEvals != 0 {
 		t.Errorf("exp stats: %+v", s)
 	}
 
 	ol := New(bigmath.Ln)
 	ol.Result(1.5, out, fp.RoundToOdd)
-	ol.Result(3.0, out, fp.RoundToOdd) // same mantissa as 1.5: cache hit
-	if s := ol.Stats(); s.Shared != 2 || ol.logCache.size() != 1 {
+	ol.Result(3.0, out, fp.RoundToOdd)
+	if s := ol.Stats(); s.DD != 2 || s.Shared != 0 || ol.logCache.size() != 0 {
 		t.Errorf("ln stats: %+v cache=%d", s, ol.logCache.size())
 	}
 
 	ot := New(bigmath.SinPi)
 	ot.Result(0.3125, out, fp.RoundToOdd)
-	ot.Result(2.3125, out, fp.RoundToOdd)  // binary-exact: reduces to same z
-	ot.Result(-0.3125, out, fp.RoundToOdd) // odd symmetry, same cache entry
-	if s := ot.Stats(); s.Shared != 3 || ot.trigCache.size() != 1 {
+	ot.Result(2.3125, out, fp.RoundToOdd)
+	ot.Result(-0.3125, out, fp.RoundToOdd)
+	if s := ot.Stats(); s.DD != 3 || s.Shared != 0 || ot.trigCache.size() != 0 {
 		t.Errorf("sinpi stats: %+v cache=%d", s, ot.trigCache.size())
+	}
+}
+
+// TestDDStraddleFallsThrough searches a wide output format for inputs whose
+// dd envelope straddles a rounding boundary, where the first step must
+// decline and the slower paths answer: the identity-sharing caches for ln
+// and sinπ, the full Ziv loop for exp. Random inputs almost never straddle
+// at 2^-50, so the candidates sit just off the output's representable
+// values and midpoints: e^x ≈ 1 + x + x²/2 for x a multiple of 2^-(p+1),
+// ln(1 + j·2^-50) ≈ j·2^-50, sinπ(½ − j·2^-30) ≈ 1 − 4.9·j²·2^-60.
+func TestDDStraddleFallsThrough(t *testing.T) {
+	out := fp.MustFormat(34, 8)
+	p := out.MantBits()
+	cands := map[bigmath.Func][]float64{}
+	for j := 1; j <= 8; j++ {
+		d := float64(j)
+		cands[bigmath.Exp] = append(cands[bigmath.Exp], math.Ldexp(d, -(p+1)), math.Ldexp(-d, -(p+1)))
+		cands[bigmath.Ln] = append(cands[bigmath.Ln], 1+math.Ldexp(d, -50), 1-math.Ldexp(d, -51))
+		cands[bigmath.SinPi] = append(cands[bigmath.SinPi], 0.5-math.Ldexp(d, -30), -0.5+math.Ldexp(d, -30))
+	}
+	for _, fn := range []bigmath.Func{bigmath.Exp, bigmath.Ln, bigmath.SinPi} {
+		o := New(fn)
+		straddles := uint64(0)
+		for _, x := range cands[fn] {
+			for _, mode := range fp.AllModes {
+				if _, ok := o.ddFirstStep(x, out, mode); !ok {
+					straddles++
+				}
+				got := o.Result(x, out, mode)
+				if want := bigmath.CorrectlyRounded(fn, x, out, mode); got != want {
+					t.Errorf("%v(%g) %v: got %#x want %#x", fn, x, mode, got, want)
+				}
+			}
+		}
+		s := o.Stats()
+		slow := s.FullEvals
+		if fn != bigmath.Exp {
+			slow = s.Shared
+		}
+		if straddles == 0 || slow != straddles || s.DD+slow != s.Total() {
+			t.Errorf("%v: %d straddling queries, stats %+v", fn, straddles, s)
+		}
+	}
+}
+
+// A cached value too close to a boundary for its own 160-bit envelope
+// escalates to the Ziv loop. cosπ of a tiny x is the natural case: 1 − δ
+// with δ ≈ 2^-138 straddles 1, the boundary of every directed mode (the
+// nearest modes round it to 1 from the cache). The anchor shortcut answers
+// it in Result, so drive the cache path directly.
+func TestSharedEscalatesToZiv(t *testing.T) {
+	out := fp.MustFormat(34, 8)
+	x := math.Ldexp(1, -70)
+	o := New(bigmath.CosPi)
+	for _, mode := range fp.AllModes {
+		got := o.trigShared(x, out, mode)
+		if want := bigmath.CorrectlyRounded(bigmath.CosPi, x, out, mode); got != want {
+			t.Errorf("cospi(2^-70) %v: got %#x want %#x", mode, got, want)
+		}
+	}
+	if s := o.Stats(); s.Shared != 2 || s.Ambiguous != uint64(len(fp.AllModes))-2 || s.FullEvals != s.Ambiguous {
+		t.Errorf("cospi(2^-70) via the cache: stats %+v, want the directed modes escalated", s)
 	}
 }
 
@@ -142,6 +207,51 @@ func TestSinhAnchorSubnormals(t *testing.T) {
 	}
 	if o.Stats().Anchors == 0 {
 		t.Error("anchor path did not fire for sinh(minSub)")
+	}
+}
+
+// cosπ's anchor is 1 from below: every mode must land on 1 or its lower
+// neighbour, round-to-odd on the odd one of the pair around the result
+// (the all-ones mantissa below 1, never the even 1 above), and the
+// subnormal inputs of tensorfloat32 must agree with the reference.
+func TestCosPiAnchor(t *testing.T) {
+	out := fp.Bfloat16
+	one := out.FromFloat64(1, fp.RoundNearestEven)
+	down := out.NextDown(one)
+	if !out.OddMantissa(down) || out.OddMantissa(one) {
+		t.Fatalf("parity premise: below-1 %#x should be odd, 1 %#x even", down, one)
+	}
+	want := map[fp.Mode]uint64{
+		fp.RoundNearestEven: one, fp.RoundNearestAway: one, fp.RoundTowardPositive: one,
+		fp.RoundTowardZero: down, fp.RoundTowardNegative: down, fp.RoundToOdd: down,
+	}
+	o := New(bigmath.CosPi)
+	tiny := math.Ldexp(1, -30)
+	for _, x := range []float64{tiny, -tiny} {
+		for _, mode := range fp.AllModes {
+			if got := o.Result(x, out, mode); got != want[mode] {
+				t.Errorf("cospi(%g) %v: got %#x want %#x", x, mode, got, want[mode])
+			}
+			if ref := bigmath.CorrectlyRounded(bigmath.CosPi, x, out, mode); ref != want[mode] {
+				t.Errorf("reference disagrees for cospi(%g) %v: %#x vs %#x", x, mode, ref, want[mode])
+			}
+		}
+	}
+
+	tf := fp.TensorFloat32
+	subs := []float64{tf.MinSubnormalValue(), -tf.MinSubnormalValue(), tf.Decode(1<<tf.MantBits() - 1)}
+	for _, of := range []fp.Format{tf, tf.Extend(2)} {
+		for _, x := range subs {
+			for _, mode := range fp.AllModes {
+				got := o.Result(x, of, mode)
+				if ref := bigmath.CorrectlyRounded(bigmath.CosPi, x, of, mode); got != ref {
+					t.Errorf("cospi(%g) into %v %v: got %#x want %#x", x, of, mode, got, ref)
+				}
+			}
+		}
+	}
+	if s := o.Stats(); s.Anchors != s.Total() {
+		t.Errorf("anchor path did not answer every tiny-x query: %+v", s)
 	}
 }
 

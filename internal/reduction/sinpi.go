@@ -115,12 +115,8 @@ func (s sinCosPiScheme) Special(x float64) float64 {
 	case math.IsNaN(x), math.IsInf(x, 0):
 		return math.NaN()
 	}
-	if v, ok := bigmath.ExactValue(s.fn, x); ok {
-		f, _ := v.Float64()
-		if v.Signbit() {
-			f = math.Copysign(f, -1)
-		}
-		return f
+	if v, ok := bigmath.ExactFloat64(s.fn, x); ok {
+		return v
 	}
 	// Anchor region: |result| = 1 - (πr)²/2, just below 1 in magnitude.
 	w, ssign, csign := fold(x)
