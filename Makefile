@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check check-fault check-oracle check-store check-serve check-campaign check-perfbench test race bench bench-parallel bench-pipeline bench-obs bench-eval bench-serve vet build lint lint-json report
+.PHONY: check check-fault check-oracle check-store check-serve check-campaign check-perfbench fuzz-fp test race bench bench-parallel bench-pipeline bench-obs bench-eval bench-serve vet build lint lint-json report
 
 check:
 	@echo '== vet =='
@@ -134,6 +134,13 @@ check-perfbench:
 	cd _perfbench && GOCACHE=$(PERFBENCH_BUILD)/gocache GOPATH=$(PERFBENCH_BUILD)/gopath \
 		GOTMPDIR=$(PERFBENCH_BUILD)/tmp TMPDIR=$(PERFBENCH_BUILD)/tmp \
 		GOTOOLCHAIN=local GOPROXY=off GOWORK=off GOFLAGS= $(GO) test ./...
+
+# Coverage-guided fuzzing of fp.Format.FromFloat64 against FromBig's
+# big.Int rounding: any double, any supported format, any mode. The seeds
+# in internal/fp/testdata/fuzz/FuzzFromFloat64 also run in every plain
+# `go test`.
+fuzz-fp:
+	$(GO) test -run '^$$' -fuzz '^FuzzFromFloat64$$' -fuzztime 20s ./internal/fp/
 
 test:
 	$(GO) test ./...

@@ -85,6 +85,10 @@ func (p Plan) Validate() error {
 	if p.MinBits > p.Bits {
 		return fmt.Errorf("campaign: min format width %d exceeds largest width %d", p.MinBits, p.Bits)
 	}
+	if min := fp.TensorFloat32.Bits() + 1; len(p.Levels) == 0 && p.Bits < min {
+		return fmt.Errorf("campaign: invalid Bits %d: must be at least %d (the standard ladder is bfloat16, tensorfloat32, F(bits,8); use Levels for smaller ladders)",
+			p.Bits, min)
+	}
 	for b := p.MinBits; b <= p.Bits; b++ {
 		if _, err := fp.NewFormat(b, 8); err != nil {
 			return fmt.Errorf("campaign: swept format F(%d,8): %w", b, err)

@@ -3,7 +3,9 @@ package campaign_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -57,6 +59,39 @@ func serveStore(t *testing.T, backing pipeline.Store) string {
 func dialPeer(t *testing.T, addr string) func(int) (pipeline.Store, error) {
 	return func(int) (pipeline.Store, error) {
 		return pipeline.DialRemote(addr, 5*time.Second)
+	}
+}
+
+// TestPlanValidateStandardLadder: without Levels a plan generates the
+// standard ladder bfloat16, tensorfloat32, F(Bits,8), which is ordered
+// only for Bits ≥ 20. Smaller widths must fail in Validate with the
+// command-line wording, not deep in generation.
+func TestPlanValidateStandardLadder(t *testing.T) {
+	cases := []struct {
+		name    string
+		bits    int
+		levels  []fp.Format
+		wantErr bool
+	}{
+		{"F16 below both standard levels", 16, nil, true},
+		{"F19 duplicates tensorfloat32", 19, nil, true},
+		{"F20 smallest standard ladder", 20, nil, false},
+		{"default width", 0, nil, false},
+		{"explicit small ladder", 12, []fp.Format{fp.MustFormat(10, 8), fp.MustFormat(12, 8)}, false},
+	}
+	for _, tc := range cases {
+		p := campaign.Plan{Bits: tc.bits, Levels: tc.levels}
+		err := p.Validate()
+		if !tc.wantErr {
+			if err != nil {
+				t.Errorf("%s: Validate() = %v, want nil", tc.name, err)
+			}
+			continue
+		}
+		want := fmt.Sprintf("campaign: invalid Bits %d: must be at least 20 (", tc.bits)
+		if err == nil || !strings.HasPrefix(err.Error(), want) || !strings.Contains(err.Error(), "use Levels") {
+			t.Errorf("%s: Validate() = %v, want %q… naming Levels", tc.name, err, want)
+		}
 	}
 }
 

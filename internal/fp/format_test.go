@@ -5,7 +5,6 @@ import (
 	"math/big"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestFormatParams(t *testing.T) {
@@ -282,31 +281,6 @@ func TestNextUpDown(t *testing.T) {
 		down := f.Decode(f.NextDown(b))
 		if !(down < v) && !(v == 0 && down < 0) {
 			t.Fatalf("NextDown(%#x)=%g not below %g", b, down, v)
-		}
-	}
-}
-
-// FromBig and FromFloat64 must agree whenever the input is a double.
-func TestFromBigMatchesFromFloat64(t *testing.T) {
-	formats := []Format{Bfloat16, TensorFloat32, Float32, Float16, MustFormat(27, 8)}
-	cfg := &quick.Config{MaxCount: 4000}
-	for _, f := range formats {
-		f := f
-		err := quick.Check(func(fracBits int64, e int) bool {
-			v := math.Ldexp(float64(fracBits), (e%400)-200)
-			if math.IsNaN(v) || math.IsInf(v, 0) || v == 0 {
-				return true
-			}
-			x := new(big.Float).SetPrec(200).SetFloat64(v)
-			for _, m := range AllModes {
-				if f.FromBig(x, m) != f.FromFloat64(v, m) {
-					return false
-				}
-			}
-			return true
-		}, cfg)
-		if err != nil {
-			t.Errorf("%v: %v", f, err)
 		}
 	}
 }

@@ -37,8 +37,7 @@ func (f Format) FromSum(hi, lo float64, m Mode) uint64 {
 		return f.overflowBits(m, negative)
 	}
 	if expA < f.EMin()-p-2 {
-		n := roundUnits(m, 0, false, true, negative)
-		return f.assembleBits(m, n, f.EMin()-p, negative)
+		return f.assemble(m, roundUnits(m, 0, false, true, negative), f.EMin()-p, negative)
 	}
 
 	// Quantum exponent: the target's ulp at the magnitude of the sum. The
@@ -111,8 +110,7 @@ func (f Format) FromSum(hi, lo float64, m Mode) uint64 {
 	n := accHi
 	guard := accLo>>63 != 0
 	sticky = sticky || accLo<<1 != 0
-	n = roundUnits(m, n, guard, sticky, negative)
-	return f.assembleBits(m, n, qe, negative)
+	return f.assemble(m, roundUnits(m, n, guard, sticky, negative), qe, negative)
 }
 
 func borrowOne(accHi, accLo *uint64) {

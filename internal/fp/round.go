@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"math/bits"
 )
 
 // Mode is a rounding direction. The five IEEE-754 modes are supported plus
@@ -134,104 +135,69 @@ func (f Format) overflowBits(m Mode, negative bool) uint64 {
 	panic("fp: bad mode")
 }
 
-// assembleBits builds the final bit pattern from a rounded magnitude
-// expressed as n units of 2^qe, where qe is the exponent of one unit and
-// subnormal reports whether qe is the subnormal quantum (EMin - MantBits).
-// Carries from the mantissa into the exponent field fall out of the integer
-// arithmetic, including the subnormal→normal transition.
-func (f Format) assembleBits(m Mode, n uint64, qe int, negative bool) uint64 {
+// assemble packs a rounded magnitude of n units of 2^qe into a bit
+// pattern, where qe ≥ minq = EMin - MantBits is the quantum the value was
+// rounded at and n < 2^(p+1) units before rounding (so at most 2^(p+1)
+// after). The pattern is (qe - minq)<<p + n: the subnormal quantum puts n
+// straight into the mantissa field, each higher quantum adds one to the
+// exponent field together with n's implicit leading bit, and a rounding
+// carry out of the mantissa — subnormal→normal included — flows into the
+// exponent field by itself. A pattern at or above ∞'s has overflowed.
+func (f Format) assemble(m Mode, n uint64, qe int, negative bool) uint64 {
 	p := uint(f.MantBits())
-	sign := uint64(0)
+	b := uint64(qe-(f.EMin()-int(p)))<<p + n
+	if b >= f.expMask() {
+		return f.overflowBits(m, negative)
+	}
 	if negative {
-		sign = f.signMask()
+		b |= f.signMask()
 	}
-	if n == 0 {
-		return sign
-	}
-	// Normalize: the caller guarantees qe >= EMin - MantBits. If n has grown
-	// past the 2^(p+1) significand range (possible only when rounding up a
-	// value with more result bits), renormalize by shifting.
-	for n >= 1<<(p+1) {
-		// Rounding can only produce a power of two here, so no bits are lost.
-		n >>= 1
-		qe++
-	}
-	var bits uint64
-	if n < 1<<p {
-		// Subnormal result: valid only at the subnormal quantum.
-		bits = n
-		if qe != f.EMin()-int(p) {
-			//lint:ignore barepanic arithmetic invariant of the quantization; proven by the format algebra, not reachable from inputs.
-			panic("fp: subnormal magnitude at non-subnormal quantum")
-		}
-	} else {
-		e := qe + int(p) // unbiased exponent of the leading bit
-		field := e + f.Bias()
-		if field >= (1<<uint(f.expBits))-1 {
-			return f.overflowBits(m, negative)
-		}
-		bits = uint64(field)<<p + (n - 1<<p)
-	}
-	return sign | bits
+	return b
 }
 
 // FromFloat64 rounds the exact real value v into the format under mode m
 // and returns the resulting bit pattern. v is treated as an exact real
-// number (every float64 is one); this is the production-path rounding used
-// after range reduction, polynomial evaluation and output compensation,
-// all of which run in float64.
+// number (every float64 is one); this is the rounding the generator, the
+// verifier and the oracle apply to float64 results.
+//
+// It works on v's bit pattern: v = mant·2^e2 with mant the 53-bit
+// significand (fewer bits for a subnormal double), and the target quantum
+// is qe = max(e - p, minq) for the leading-bit exponent e. Because p ≤ 51,
+// qe - e2 ≥ 1, so one right shift yields the kept units n, the guard bit
+// and the sticky bits. Rounder.Round is the serving path's independent
+// implementation of the same contract (pinned by
+// TestRounderMatchesFromFloat64); FromBig's big.Int rounding is the
+// reference FromFloat64 is tested and fuzzed against.
 func (f Format) FromFloat64(v float64, m Mode) uint64 {
+	vb := math.Float64bits(v)
+	negative := vb>>63 != 0
+	field := int(vb >> 52 & 0x7ff)
+	mant := vb & (1<<52 - 1)
 	switch {
-	case math.IsNaN(v):
-		return f.NaN()
-	case math.IsInf(v, 0):
-		return f.Inf(math.Signbit(v))
-	case v == 0:
-		return f.Zero(math.Signbit(v))
+	case field == 0x7ff:
+		if mant != 0 {
+			return f.NaN()
+		}
+		return f.Inf(negative)
+	case field == 0 && mant == 0:
+		return f.Zero(negative)
 	}
-	negative := math.Signbit(v)
-	mag := math.Abs(v)
-	p := uint(f.MantBits())
-
-	// Express mag = mant * 2^e2 with mant an integer (at most 53 bits).
-	frac, exp := math.Frexp(mag) // mag = frac * 2^exp, frac in [0.5, 1)
-	mant := uint64(math.Ldexp(frac, 53))
-	e2 := exp - 53
-	// Strip trailing zeros so shifts stay small.
-	for mant&1 == 0 {
-		mant >>= 1
-		e2++
+	e2 := field - 1075 // v = mant·2^e2
+	if field == 0 {
+		e2 = -1074
+	} else {
+		mant |= 1 << 52
 	}
-
-	// Quantum exponent: ulp of the target at this magnitude.
-	ebin := exp - 1 // unbiased exponent of mag's leading bit
-	qe := ebin - int(p)
-	if minq := f.EMin() - int(p); qe < minq {
+	p := f.MantBits()
+	qe := e2 + bits.Len64(mant) - 1 - p // the quantum at v's leading bit
+	if minq := f.EMin() - p; qe < minq {
 		qe = minq
 	}
-
-	var n uint64
-	var guard, sticky bool
-	switch s := e2 - qe; {
-	case s >= 0:
-		// Exactly representable at this quantum (may still exceed the
-		// mantissa range — assembleBits handles the carry/overflow).
-		if s > 63 || mant > (math.MaxUint64>>uint(s)) {
-			// Cannot happen for supported formats: magnitude below
-			// maxFinite keeps n within p+2 bits. Guard anyway.
-			return f.overflowBits(m, negative)
-		}
-		n = mant << uint(s)
-	case s >= -63:
-		sh := uint(-s)
-		n = mant >> sh
-		guard = mant&(1<<(sh-1)) != 0
-		sticky = mant&((1<<(sh-1))-1) != 0
-	default:
-		n, guard, sticky = 0, false, true
-	}
-	n = roundUnits(m, n, guard, sticky, negative)
-	return f.assembleBits(m, n, qe, negative)
+	sh := uint(qe - e2) // ≥ 1; a shift of 64 or more leaves only sticky bits
+	n := mant >> sh
+	guard := mant>>(sh-1)&1 != 0
+	sticky := mant&(1<<(sh-1)-1) != 0
+	return f.assemble(m, roundUnits(m, n, guard, sticky, negative), qe, negative)
 }
 
 // FromBig rounds the exact real value x into the format under mode m. x may
@@ -262,7 +228,7 @@ func (f Format) FromBig(x *big.Float, m Mode) uint64 {
 		// mag < minSubnormal/2 and not a tie: rounds from zero units with
 		// only a sticky bit.
 		n := roundUnits(m, 0, false, true, negative)
-		return f.assembleBits(m, n, f.EMin()-p0, negative)
+		return f.assemble(m, n, f.EMin()-p0, negative)
 	}
 	prec := int(mag.MinPrec())
 	mantf.SetMantExp(mantf, prec) // now an integer value
@@ -311,8 +277,7 @@ func (f Format) FromBig(x *big.Float, m Mode) uint64 {
 			sticky = rem.Sign() != 0
 		}
 	}
-	n = roundUnits(m, n, guard, sticky, negative)
-	return f.assembleBits(m, n, qe, negative)
+	return f.assemble(m, roundUnits(m, n, guard, sticky, negative), qe, negative)
 }
 
 // RoundDecoded is a convenience that rounds v into f under m and returns the

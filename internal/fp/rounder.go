@@ -2,15 +2,17 @@ package fp
 
 import "math"
 
-// Rounder is the batch-friendly form of Format.FromFloat64: every
-// format- and mode-derived constant (field widths, quantum floor, the
-// canonical NaN/∞/zero/overflow bit patterns) is computed once at
-// construction, so the per-value Round call is pure integer and float
-// arithmetic with no recomputation and no allocation. The serving-path
-// kernels (internal/eval) round every batched result through one Rounder.
+// Rounder is the serving path's rounding: every format- and mode-derived
+// constant (field widths, quantum floor, the canonical NaN/∞/zero/overflow
+// bit patterns) is computed once at construction, so the per-value Round
+// call does no recomputation and no allocation. The serving-path kernels
+// (internal/eval) round every batched result through one Rounder.
 //
-// Contract: Round(v) == Format.FromFloat64(v, Mode) bit for bit, for every
-// float64 v — pinned by TestRounderMatchesFromFloat64.
+// Two implementations, one contract: Round(v) == Format.FromFloat64(v,
+// Mode) bit for bit, for every float64 v. Round decomposes v with
+// Frexp/Ldexp and renormalises after rounding; FromFloat64 works on v's
+// bit pattern. TestRounderMatchesFromFloat64 pins the two against each
+// other, and FromFloat64 is pinned against FromBig.
 type Rounder struct {
 	f Format
 	m Mode
@@ -122,7 +124,8 @@ func (r *Rounder) Round(v float64) uint64 {
 	return r.assemble(n, qe, negative)
 }
 
-// assemble is assembleBits with the format constants preloaded.
+// assemble builds the bit pattern of n units of 2^qe, renormalising a
+// rounding carry out of the significand first.
 //
 //evalhot:loop
 func (r *Rounder) assemble(n uint64, qe int, negative bool) uint64 {

@@ -2,6 +2,13 @@
 // libraries) for correct rounding by exhaustive enumeration, reproducing
 // the methodology behind Table 2 of the paper.
 //
+// Every input costs one oracle call: the round-to-odd result at f+2 bits
+// rounds correctly into every standard mode (the RLibm-All theorem). A
+// generated result is evaluated once per distinct serving level, and that
+// value is rounded into each mode it serves — Result.Eval's definition —
+// so a five-mode sweep at a lower level costs two evaluations per input,
+// not five. Any other Impl is asked once per mode.
+//
 // The (input × rounding-mode) space of every check is sharded into
 // contiguous bit-ranges and verified on a worker pool (the workers argument
 // resolves through parallel.WorkerCount: 0 means one per logical CPU, 1
@@ -15,6 +22,7 @@ package verify
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/fp"
 	"repro/internal/gen"
@@ -55,52 +63,77 @@ func (r Report) String() string {
 // accumulate gigabytes.
 const maxRecorded = 1 << 16
 
-// check evaluates one input bit pattern against the oracle's round-to-odd
-// proxy under every requested mode, recording mismatches into reports.
-type check struct {
-	f, ext  fp.Format
-	modes   []fp.Mode
-	orc     *oracle.Oracle
-	got     func(x float64, m fp.Mode) uint64
-	reports []Report
-}
+// answers fills got[i] with the implementation's result bits for input x
+// under modes[i], for every mode of a sweep at once.
+type answers func(x float64, got []uint64)
 
-func newCheck(f fp.Format, modes []fp.Mode, orc *oracle.Oracle, got func(float64, fp.Mode) uint64) *check {
-	c := &check{f: f, ext: f.Extend(2), modes: modes, orc: orc, got: got}
-	c.reports = make([]Report, len(modes))
-	for i, m := range modes {
-		c.reports[i] = Report{Format: f, Mode: m}
+// implAnswers asks impl once per mode — except the Impl NewGenImpl
+// returns, whose serving levels are resolved here, once per sweep.
+func implAnswers(impl Impl, f fp.Format, modes []fp.Mode) answers {
+	if g, ok := impl.(genImpl); ok {
+		levels := make([]int, len(modes))
+		for i, m := range modes {
+			levels[i] = g.level(f, m)
+		}
+		return levelAnswers(g.res, f, modes, levels)
 	}
-	return c
-}
-
-func (c *check) input(b uint64) {
-	x := c.f.Decode(b)
-	roVal := c.ext.Decode(c.orc.Result(x, c.ext, fp.RoundToOdd))
-	for i, m := range c.modes {
-		want := c.f.FromFloat64(roVal, m)
-		got := c.got(x, m)
-		c.reports[i].Checked++
-		if got != want && len(c.reports[i].Mismatches) < maxRecorded {
-			c.reports[i].Mismatches = append(c.reports[i].Mismatches, b)
+	return func(x float64, got []uint64) {
+		for i, m := range modes {
+			got[i] = impl.Bits(x, f, m)
 		}
 	}
 }
 
-// sweep shards the bit patterns of inputs[lo:hi] ranges over the pool and
-// merges the per-shard reports in shard order. bits(i) maps a work index to
-// the input bit pattern; n is the work-list length.
-func sweep(f fp.Format, modes []fp.Mode, orc *oracle.Oracle, workers int, n uint64,
-	bits func(uint64) uint64, got func(float64, fp.Mode) uint64) []Report {
+// levelAnswers evaluates res once per distinct level of levels (indexed
+// like modes) and rounds each value into out under every mode that level
+// serves.
+func levelAnswers(res *gen.Result, out fp.Format, modes []fp.Mode, levels []int) answers {
+	var distinct []int
+	for _, li := range levels {
+		if !slices.Contains(distinct, li) {
+			distinct = append(distinct, li)
+		}
+	}
+	return func(x float64, got []uint64) {
+		for _, li := range distinct {
+			v := res.EvalValue(x, li)
+			for i, m := range modes {
+				if levels[i] == li {
+					got[i] = out.FromFloat64(v, m)
+				}
+			}
+		}
+	}
+}
 
+// sweep checks the input bit patterns bits(0..n-1) of format f against
+// the oracle's round-to-odd proxy under every mode, sharded over the pool,
+// and merges the per-shard reports in shard order.
+func sweep(f fp.Format, modes []fp.Mode, orc *oracle.Oracle, workers int, n uint64,
+	bits func(uint64) uint64, answer answers) []Report {
+
+	ext := f.Extend(2)
 	shards := parallel.SplitRange(n, parallel.ShardCount(workers))
 	per := make([][]Report, len(shards))
 	parallel.ForEach(workers, len(shards), func(s int) {
-		c := newCheck(f, modes, orc, got)
-		for i := shards[s].Lo; i < shards[s].Hi; i++ {
-			c.input(bits(i))
+		reports := make([]Report, len(modes))
+		for i, m := range modes {
+			reports[i] = Report{Format: f, Mode: m}
 		}
-		per[s] = c.reports
+		got := make([]uint64, len(modes))
+		for k := shards[s].Lo; k < shards[s].Hi; k++ {
+			b := bits(k)
+			x := f.Decode(b)
+			roVal := ext.Decode(orc.Result(x, ext, fp.RoundToOdd))
+			answer(x, got)
+			for i, m := range modes {
+				reports[i].Checked++
+				if got[i] != f.FromFloat64(roVal, m) && len(reports[i].Mismatches) < maxRecorded {
+					reports[i].Mismatches = append(reports[i].Mismatches, b)
+				}
+			}
+		}
+		per[s] = reports
 	})
 	// Merge in shard order: the shards partition the ascending work list,
 	// so concatenating mismatch lists (capped like the serial sweep)
@@ -134,14 +167,14 @@ func MergeReports(f fp.Format, modes []fp.Mode, per [][]Report) []Report {
 }
 
 // Exhaustive checks impl against the oracle over every input of format f
-// under mode, sharded over up to workers goroutines. The oracle derives
-// every standard mode from one round-to-odd result at f+2 bits (the
-// RLibm-All theorem, property-tested in fp), so a multi-mode sweep costs a
-// single oracle pass.
+// under each mode, sharded over up to workers goroutines. The oracle
+// derives every standard mode from one round-to-odd result at f+2 bits
+// (the RLibm-All theorem, property-tested in fp), so a multi-mode sweep
+// costs a single oracle pass. A generated result (NewGenImpl) is likewise
+// evaluated once per distinct serving level per input, not once per mode.
 func Exhaustive(impl Impl, orc *oracle.Oracle, f fp.Format, modes []fp.Mode, workers int) []Report {
 	return sweep(f, modes, orc, workers, f.NumValues(),
-		func(i uint64) uint64 { return i },
-		func(x float64, m fp.Mode) uint64 { return impl.Bits(x, f, m) })
+		func(i uint64) uint64 { return i }, implAnswers(impl, f, modes))
 }
 
 // Sampled checks impl against the oracle on n random inputs of format f
@@ -162,8 +195,7 @@ func Sampled(impl Impl, orc *oracle.Oracle, f fp.Format, modes []fp.Mode, n int,
 		inputs = append(inputs, uint64(rng.Int63())&(f.NumValues()-1))
 	}
 	return sweep(f, modes, orc, workers, uint64(len(inputs)),
-		func(i uint64) uint64 { return inputs[i] },
-		func(x float64, m fp.Mode) uint64 { return impl.Bits(x, f, m) })
+		func(i uint64) uint64 { return inputs[i] }, implAnswers(impl, f, modes))
 }
 
 // genImpl adapts a generated Result to Impl, serving each query from the
@@ -176,11 +208,16 @@ type genImpl struct {
 func NewGenImpl(res *gen.Result) Impl { return genImpl{res: res} }
 
 func (g genImpl) Bits(x float64, out fp.Format, mode fp.Mode) uint64 {
-	li, ok := g.res.ServingLevel(out, mode)
-	if !ok {
-		li = len(g.res.Levels) - 1
+	return g.res.Eval(x, g.level(out, mode), out, mode)
+}
+
+// level is the level serving (out, mode): ServingLevel's, or the largest
+// when out is wider than every level.
+func (g genImpl) level(out fp.Format, mode fp.Mode) int {
+	if li, ok := g.res.ServingLevel(out, mode); ok {
+		return li
 	}
-	return g.res.Eval(x, li, out, mode)
+	return len(g.res.Levels) - 1
 }
 
 // RepairBudget bounds how many mismatched inputs Repair may patch per
@@ -250,7 +287,10 @@ func ExhaustiveLevelRange(res *gen.Result, orc *oracle.Oracle, li int, modes []f
 	if lo > hi {
 		lo = hi
 	}
+	levels := make([]int, len(modes))
+	for i := range levels {
+		levels[i] = li
+	}
 	return sweep(lvl, modes, orc, workers, hi-lo,
-		func(i uint64) uint64 { return lo + i },
-		func(x float64, m fp.Mode) uint64 { return res.Eval(x, li, lvl, m) })
+		func(i uint64) uint64 { return lo + i }, levelAnswers(res, lvl, modes, levels))
 }
