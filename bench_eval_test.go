@@ -10,20 +10,21 @@ import (
 )
 
 // BenchmarkEval is the serving-layer measurement behind BENCH_eval.json:
-// per-call gen.Result.Eval (interface reduction, sort.Search specials,
-// binary-search piece lookup, FromFloat64 per input) against the compiled
-// batch kernel of internal/eval, with the truncated-vs-full split made
-// explicit. Sub-benchmarks:
+// per-call libm.Eval against the batch kernel of internal/eval, with the
+// truncated-vs-full split made explicit. All rows run the same compiled
+// level evaluator (gen.Evaluator); they differ in dispatch and rounding.
+// Sub-benchmarks:
 //
-//	single     — loop res.Eval over the corpus (the pre-PR-6 serving cost);
+//	single     — libm.Eval per input: table and serving-level lookup,
+//	             then the bits-only FromFloat64 rounding;
 //	batch      — Kernel.EvalBatch at the serving level (truncated prefix
-//	             for bfloat16/tensorfloat32 under rn);
+//	             for bfloat16/tensorfloat32 under rn), rounding with
+//	             fp.Rounder;
 //	batch-full — Kernel.EvalBatch forced to the largest level's full
 //	             polynomial, isolating the progressive-truncation win.
 //
-// All three produce bit-identical outputs (pinned by the internal/eval
-// equivalence tests); only the dispatch and evaluation cost differs. The
-// reported ns/input divides by corpus size so rows compare directly.
+// All three produce bit-identical outputs (libm's TestBatchMatchesPerCall);
+// the reported ns/input divides by corpus size so rows compare directly.
 func BenchmarkEval(b *testing.B) {
 	largest, ok := libm.LargestFormat()
 	if !ok {
@@ -47,10 +48,6 @@ func BenchmarkEval(b *testing.B) {
 		b.Run(fc.name, func(b *testing.B) {
 			xs := benchCorpus(bigmath.Exp2, fc.f, 2)
 			dst := make([]uint64, len(xs))
-			li, ok := res.ServingLevel(fc.f, mode)
-			if !ok {
-				b.Fatalf("no serving level for %v", fc.f)
-			}
 			last := len(res.Levels) - 1
 			perInput := func(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(xs)), "ns/input")
@@ -60,7 +57,11 @@ func BenchmarkEval(b *testing.B) {
 				var sink uint64
 				for i := 0; i < b.N; i++ {
 					for _, x := range xs {
-						sink += res.Eval(x, li, fc.f, mode)
+						y, err := libm.Eval(bigmath.Exp2, x, fc.f, mode)
+						if err != nil {
+							b.Fatal(err)
+						}
+						sink += y
 					}
 				}
 				_ = sink

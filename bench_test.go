@@ -87,9 +87,14 @@ func BenchmarkFig4(b *testing.B) {
 							b.Skip(err)
 						}
 						li, _ := res.LevelFor(fc.f)
+						ev, err := res.Compile(li)
+						if err != nil {
+							b.Fatal(err)
+						}
+						b.ResetTimer()
 						var sink uint64
 						for i := 0; i < b.N; i++ {
-							sink += res.Eval(xs[i&1023], li, fc.f, fp.RoundNearestEven)
+							sink += fc.f.FromFloat64(ev.Value(xs[i&1023]), fp.RoundNearestEven)
 						}
 						_ = sink
 					})
@@ -122,9 +127,14 @@ func BenchmarkFig4(b *testing.B) {
 						if err != nil {
 							b.Skip(err)
 						}
+						ev, err := res.Compile(0)
+						if err != nil {
+							b.Fatal(err)
+						}
+						b.ResetTimer()
 						var sink uint64
 						for i := 0; i < b.N; i++ {
-							sink += res.Eval(xs[i&1023], 0, fc.f, fp.RoundNearestEven)
+							sink += fc.f.FromFloat64(ev.Value(xs[i&1023]), fp.RoundNearestEven)
 						}
 						_ = sink
 					})

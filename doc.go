@@ -62,10 +62,12 @@
 //
 //   - internal/gen — the staged generator: constraint enumeration,
 //     reduction, progressive piece solving (distributable as solve-shard
-//     work units), result assembly and Go emission.
-//   - internal/verify — exhaustive per-level verification and the repair
-//     pass; report slices merge deterministically, which is what makes
-//     verification distributable.
+//     work units), result assembly and Go emission; and the compiled
+//     level evaluator (Result.Compile), the one code path that evaluates
+//     a generated result.
+//   - internal/verify — exhaustive per-level verification of the compiled
+//     evaluators and the repair pass; report slices merge
+//     deterministically, which is what makes verification distributable.
 //   - internal/pipeline — the content-addressed artifact store: sealed
 //     frames, typed codecs, stage runner, disk/memory/remote backends,
 //     the TCP store protocol, and the LRU eviction wrapper.
@@ -84,10 +86,11 @@
 // # The generated library and serving
 //
 //   - internal/libm — the generated progressive library and RLibm-All
-//     baseline (zz_*.go are emitted tables), plus per-call Eval.
-//   - internal/eval — compiled batch kernels: per-(function, format,
-//     mode) evaluation with truncated progressive dispatch, bit-identical
-//     to per-call Eval.
+//     baseline (zz_*.go are emitted tables), plus per-call Eval over the
+//     compiled level evaluators.
+//   - internal/eval — batch kernels: the level evaluator per (function,
+//     format, mode) with precompiled rounding, counters and per-request
+//     cancellation, bit-identical to per-call Eval.
 //   - internal/serve — the serving service: admission control, drain,
 //     panic isolation, verified hot reload, both endpoints.
 //   - internal/dd, internal/baseline — double-double kernels and the

@@ -11,9 +11,10 @@ import (
 //
 //	//evalhot:loop
 //
-// line in their doc comment — the kernel loop of internal/eval and the
-// helpers it inlines (the flattened polynomial, the special classifier,
-// the lowered reduction, the precompiled rounder) all carry the marker.
+// line in their doc comment — the batch loop of internal/eval, the level
+// evaluator of internal/gen it calls (the flattened polynomial, the
+// special-input table), the lowered reduction and the precompiled rounder
+// all carry the marker.
 // Inside a marked function the analyzer forbids everything the batch
 // contract hoists to Compile time:
 //
@@ -28,9 +29,9 @@ import (
 //     allocation-free by contract, pinned dynamically by the
 //     AllocsPerRun tests and statically here.
 //
-// The analyzer also requires the internal/eval package itself to contain at
-// least one marked function, so the restrictions cannot be silently opted
-// out of by deleting markers.
+// The analyzer also requires the internal/eval and internal/gen packages to
+// contain at least one marked function each, so the restrictions cannot be
+// silently opted out of by deleting markers.
 //
 // Interprocedural escalation: every function transitively callable from a
 // marked function — over static calls and conservative function-value
@@ -78,9 +79,10 @@ func runEvalHot(p *Pass) []Diagnostic {
 			}
 		}
 	}
-	if marked == 0 && p.Pkg.ImportPath == p.Module.Path+"/internal/eval" && len(p.Pkg.Files) > 0 {
+	if marked == 0 && len(p.Pkg.Files) > 0 && (p.Pkg.ImportPath == p.Module.Path+"/internal/eval" ||
+		p.Pkg.ImportPath == p.Module.Path+"/internal/gen") {
 		diags = append(diags, p.report("evalhot", p.Pkg.Files[0].Name,
-			"package %s has no //evalhot:loop functions: the batch kernel's hot loop must be marked so its restrictions stay enforced", p.Pkg.ImportPath))
+			"package %s has no //evalhot:loop functions: the evaluator's hot loop must be marked so its restrictions stay enforced", p.Pkg.ImportPath))
 	}
 	diags = append(diags, p.runEvalHotInter()...)
 	return diags

@@ -55,11 +55,11 @@ type enumShard struct {
 // dedup-loser bitmap (see dedupSkipBitmaps); marked inputs are skipped
 // without touching the oracle. The shard owns all of its outputs; the only
 // shared mutable state it touches is the concurrency-safe oracle.
-func enumerateRange(scheme reduction.Scheme, orc *oracle.Oracle, lvl, outFmt fp.Format,
+func enumerateRange(red reduction.Lowered, orc *oracle.Oracle, lvl, outFmt fp.Format,
 	mode fp.Mode, skip []uint64, rg parallel.Range, nk int) enumShard {
 
 	sh := enumShard{raw: make([][]rawConstraint, nk)}
-	tp, twoPoly := scheme.(reduction.TwoPoly)
+	twoPoly := red.NumPolys() == 2
 	type kernelPair struct{ k0, k1 *big.Float }
 	var kernelCache map[float64]kernelPair
 	if twoPoly {
@@ -70,7 +70,7 @@ func enumerateRange(scheme reduction.Scheme, orc *oracle.Oracle, lvl, outFmt fp.
 			continue // reduction state owned by an earlier input
 		}
 		x := lvl.Decode(b)
-		ctx, regular := scheme.Reduce(x)
+		ctx, regular := red.Reduce(x)
 		if !regular {
 			continue // structural special path, correct by construction
 		}
@@ -86,7 +86,7 @@ func enumerateRange(scheme reduction.Scheme, orc *oracle.Oracle, lvl, outFmt fp.
 			continue
 		}
 		if !twoPoly {
-			yiv, ok := reduction.InvertMonotone(scheme, ctx, iv)
+			yiv, ok := reduction.InvertMonotone(red, ctx, iv)
 			if !ok {
 				sh.specials = append(sh.specials, b)
 				continue
@@ -100,10 +100,10 @@ func enumerateRange(scheme reduction.Scheme, orc *oracle.Oracle, lvl, outFmt fp.
 		// affine box split.
 		kp, haveK := kernelCache[ctx.R]
 		if !haveK {
-			kp.k0, kp.k1 = tp.Kernels(ctx.R, 160)
+			kp.k0, kp.k1 = red.Kernels(ctx.R, 160)
 			kernelCache[ctx.R] = kp
 		}
-		i0, i1, ok := reduction.SplitAffine(tp, ctx, kp.k0, kp.k1, iv)
+		i0, i1, ok := reduction.SplitAffine(ctx, kp.k0, kp.k1, iv)
 		if !ok {
 			sh.specials = append(sh.specials, b)
 			continue
@@ -129,14 +129,14 @@ func enumerateRange(scheme reduction.Scheme, orc *oracle.Oracle, lvl, outFmt fp.
 // contributes. The returned per-level bitmaps mark the losers, letting the
 // sharded workers skip them with no cross-shard coordination and keeping the
 // parallel output bit-identical to the serial one.
-func dedupSkipBitmaps(scheme reduction.Scheme, levels []fp.Format) [][]uint64 {
+func dedupSkipBitmaps(red reduction.Lowered, levels []fp.Format) [][]uint64 {
 	seen := make(map[reduction.Ctx]struct{})
 	out := make([][]uint64, len(levels))
 	for li, lvl := range levels {
 		n := lvl.NumValues()
 		bm := make([]uint64, (n+63)/64)
 		for b := uint64(0); b < n; b++ {
-			ctx, regular := scheme.Reduce(lvl.Decode(b))
+			ctx, regular := red.Reduce(lvl.Decode(b))
 			if !regular {
 				continue
 			}
@@ -161,10 +161,10 @@ func dedupSkipBitmaps(scheme reduction.Scheme, levels []fp.Format) [][]uint64 {
 // (Ziv exhaustion, real or injected) is recovered by the pool and returned
 // as a typed *fault.Error with shard context; cancellation aborts between
 // shards.
-func enumerate(ctx context.Context, fn bigmath.Func, scheme reduction.Scheme, orc *oracle.Oracle,
+func enumerate(ctx context.Context, fn bigmath.Func, red reduction.Lowered, orc *oracle.Oracle,
 	levels []fp.Format, progressiveRO bool, workers int, logf func(string, ...interface{})) (*rawSet, error) {
 
-	nk := scheme.NumPolys()
+	nk := red.NumPolys()
 	rs := &rawSet{
 		raw:      make([][][]rawConstraint, nk),
 		specials: make([][]uint64, len(levels)),
@@ -175,7 +175,7 @@ func enumerate(ctx context.Context, fn bigmath.Func, scheme reduction.Scheme, or
 
 	var skips [][]uint64
 	if fn == bigmath.SinPi || fn == bigmath.CosPi {
-		skips = dedupSkipBitmaps(scheme, levels)
+		skips = dedupSkipBitmaps(red, levels)
 	}
 
 	for li, lvl := range levels {
@@ -193,7 +193,7 @@ func enumerate(ctx context.Context, fn bigmath.Func, scheme reduction.Scheme, or
 		shards := parallel.SplitRange(lvl.NumValues(), parallel.ShardCount(workers))
 		outs := make([]enumShard, len(shards))
 		if err := parallel.ForEachErr(ctx, workers, len(shards), func(s int) error {
-			outs[s] = enumerateRange(scheme, orc, lvl, outFmt, mode, skip, shards[s], nk)
+			outs[s] = enumerateRange(red, orc, lvl, outFmt, mode, skip, shards[s], nk)
 			return nil
 		}); err != nil {
 			return nil, poolFault(err, StageEnumerate, fn)

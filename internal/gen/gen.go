@@ -22,7 +22,6 @@ package gen
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/bigmath"
@@ -30,7 +29,6 @@ import (
 	"repro/internal/fp"
 	"repro/internal/oracle"
 	"repro/internal/poly"
-	"repro/internal/reduction"
 )
 
 // Options configures a generation run.
@@ -180,17 +178,6 @@ type Result struct {
 	// guarantee to all rounding modes and narrower formats.
 	ProgressiveRO bool
 	Stats         Stats
-
-	schemeOnce  sync.Once
-	schemeCache reduction.Scheme
-}
-
-// Scheme returns (and caches) the reduction scheme of the result's
-// function. It is safe for concurrent use: the verification workers all
-// evaluate one shared Result.
-func (res *Result) Scheme() reduction.Scheme {
-	res.schemeOnce.Do(func() { res.schemeCache = reduction.ForFunc(res.Fn) })
-	return res.schemeCache
 }
 
 // checkLevels validates the level list shared by Generate and Enumerate.

@@ -44,14 +44,19 @@ func TestGenerateSmallEndToEnd(t *testing.T) {
 					modes = fp.StandardModes
 				}
 				ext := lvl.Extend(2)
+				ev, err := res.Compile(li)
+				if err != nil {
+					t.Fatal(err)
+				}
 				wrong := 0
 				var firstBad uint64
 				for b := uint64(0); b < lvl.NumValues(); b++ {
 					x := lvl.Decode(b)
 					roVal := ext.Decode(oracleResult(fn, x, ext))
+					v := ev.Value(x)
 					for _, m := range modes {
 						want := lvl.FromFloat64(roVal, m)
-						got := res.Eval(x, li, lvl, m)
+						got := lvl.FromFloat64(v, m)
 						if got != want {
 							if wrong == 0 {
 								firstBad = b
@@ -124,13 +129,18 @@ func TestProgressiveROAllModes(t *testing.T) {
 	}
 	lvl := levels[0]
 	ext := lvl.Extend(2)
+	ev, err := res.Compile(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	wrong := 0
 	for b := uint64(0); b < lvl.NumValues(); b++ {
 		x := lvl.Decode(b)
 		roVal := ext.Decode(bigmath.CorrectlyRounded(bigmath.Exp2, x, ext, fp.RoundToOdd))
+		v := ev.Value(x)
 		for _, m := range fp.StandardModes {
 			want := lvl.FromFloat64(roVal, m)
-			if got := res.Eval(x, 0, lvl, m); got != want {
+			if got := lvl.FromFloat64(v, m); got != want {
 				wrong++
 			}
 		}

@@ -46,7 +46,7 @@ func poolFault(err error, stage string, fn bigmath.Func) error {
 // special input's all-modes round-to-odd proxy with the oracle. The
 // returned Result carries only deterministic fields (the volatile Duration
 // and Oracle stats are filled in by the caller).
-func solveAll(ctx context.Context, fn bigmath.Func, scheme reduction.Scheme, cs *constraintSet,
+func solveAll(ctx context.Context, fn bigmath.Func, red reduction.Lowered, cs *constraintSet,
 	orc *oracle.Oracle, opt Options, store pipeline.Store, shard Shard, logf func(string, ...interface{})) (*Result, error) {
 
 	res := &Result{
@@ -56,8 +56,8 @@ func solveAll(ctx context.Context, fn bigmath.Func, scheme reduction.Scheme, cs 
 		ProgressiveRO: opt.ProgressiveRO,
 	}
 
-	for p := 0; p < scheme.NumPolys(); p++ {
-		kp, err := solveKernel(ctx, fn, scheme, cs, p, opt, store, shard, res, logf)
+	for p := 0; p < red.NumPolys(); p++ {
+		kp, err := solveKernel(ctx, fn, red, cs, p, opt, store, shard, res, logf)
 		if err != nil {
 			return nil, err
 		}
@@ -176,7 +176,7 @@ const maxInjectedReplays = 4
 // the entire pieces × terms search failed — deterministic seed rotations,
 // budget escalation and graceful degradation. Consumed rungs are recorded
 // in Stats so the solve artifact pins them.
-func solveKernel(ctx context.Context, fn bigmath.Func, scheme reduction.Scheme, cs *constraintSet, p int,
+func solveKernel(ctx context.Context, fn bigmath.Func, red reduction.Lowered, cs *constraintSet, p int,
 	opt Options, store pipeline.Store, shard Shard, res *Result, logf func(string, ...interface{})) (*KernelPoly, error) {
 
 	rungs := rescueRungs()
@@ -192,7 +192,7 @@ func solveKernel(ctx context.Context, fn bigmath.Func, scheme reduction.Scheme, 
 		if ri > 0 {
 			logf("  kernel %d: rescue rung %d (%s)", p, ri, rg.name)
 		}
-		kp, err := solveKernelAttempt(ctx, fn, scheme, cs, p, eff, rg.forceExact, store, shard, res, logf)
+		kp, err := solveKernelAttempt(ctx, fn, red, cs, p, eff, rg.forceExact, store, shard, res, logf)
 		if err != nil {
 			return nil, err
 		}
@@ -246,11 +246,11 @@ type pieceOut struct {
 // sweep (see solvePiecesSharded); the merged kernel is bit-identical
 // either way. It returns (nil, nil) when the ladder ran dry, leaving the
 // rescue decision to solveKernel.
-func solveKernelAttempt(ctx context.Context, fn bigmath.Func, scheme reduction.Scheme, cs *constraintSet, p int,
+func solveKernelAttempt(ctx context.Context, fn bigmath.Func, red reduction.Lowered, cs *constraintSet, p int,
 	opt Options, forceExact bool, store pipeline.Store, shard Shard, res *Result, logf func(string, ...interface{})) (*KernelPoly, error) {
 
-	domLo, domHi := scheme.ReducedDomain()
-	st := scheme.Structure(p)
+	domLo, domHi := red.ReducedDomain()
+	st := red.Structure(p)
 	nLevels := len(opt.Levels)
 
 	startPieces, maxPieces := 1, opt.MaxPieces

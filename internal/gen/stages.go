@@ -60,7 +60,7 @@ func oracleFor(fn bigmath.Func, opt Options) (*oracle.Oracle, error) {
 // the reduce artifact and, on a miss, for the enumerate artifact before
 // falling back to the oracle-driven enumeration. A warm reduce artifact
 // therefore skips the Enumerate stage entirely.
-func reduceStaged(ctx context.Context, fn bigmath.Func, scheme reduction.Scheme, orc *oracle.Oracle,
+func reduceStaged(ctx context.Context, fn bigmath.Func, red reduction.Lowered, orc *oracle.Oracle,
 	opt Options, store pipeline.Store, logf func(string, ...interface{})) (*constraintSet, error) {
 
 	cs, _, err := pipeline.Run(ctx, store, stageKey(fn, StageReduce, opt), constraintCodec,
@@ -68,7 +68,7 @@ func reduceStaged(ctx context.Context, fn bigmath.Func, scheme reduction.Scheme,
 			rs, _, err := pipeline.Run(ctx, store, stageKey(fn, StageEnumerate, opt), enumCodec,
 				pipeline.Logf(logf), func(ctx context.Context) (*rawSet, error) {
 					logf("%v: enumerating %d levels ...", fn, len(opt.Levels))
-					rs, err := enumerate(ctx, fn, scheme, orc, opt.Levels, opt.ProgressiveRO, opt.Workers, logf)
+					rs, err := enumerate(ctx, fn, red, orc, opt.Levels, opt.ProgressiveRO, opt.Workers, logf)
 					if err == nil {
 						obs.SpanFrom(ctx).Add(obs.CtrRowsEnumerated, int64(rs.rawCount))
 					}
@@ -96,7 +96,7 @@ func EnumerateStaged(ctx context.Context, fn bigmath.Func, opt Options, store pi
 	if err != nil {
 		return 0, 0, err
 	}
-	cs, err := reduceStaged(ctx, fn, reduction.ForFunc(fn), orc, opt, store, nopLogf(opt.Logf))
+	cs, err := reduceStaged(ctx, fn, reduction.Lower(fn), orc, opt, store, nopLogf(opt.Logf))
 	if err != nil {
 		return 0, 0, err
 	}
@@ -133,7 +133,7 @@ func GenerateStagedSharded(ctx context.Context, fn bigmath.Func, opt Options, st
 	//lint:ignore wallclock duration statistic only; the value never feeds a coefficient.
 	start := time.Now()
 	logf := nopLogf(opt.Logf)
-	scheme := reduction.ForFunc(fn)
+	red := reduction.Lower(fn)
 	orc, err := oracleFor(fn, opt)
 	if err != nil {
 		return nil, err
@@ -141,12 +141,12 @@ func GenerateStagedSharded(ctx context.Context, fn bigmath.Func, opt Options, st
 
 	res, _, err := pipeline.Run(ctx, store, stageKey(fn, StageSolve, opt), ResultCodec,
 		pipeline.Logf(logf), func(ctx context.Context) (*Result, error) {
-			cs, err := reduceStaged(ctx, fn, scheme, orc, opt, store, logf)
+			cs, err := reduceStaged(ctx, fn, red, orc, opt, store, logf)
 			if err != nil {
 				return nil, err
 			}
 			logf("%v: %s", fn, cs.describe())
-			return solveAll(ctx, fn, scheme, cs, orc, opt, store, shard, logf)
+			return solveAll(ctx, fn, red, cs, orc, opt, store, shard, logf)
 		})
 	if err != nil {
 		return nil, err

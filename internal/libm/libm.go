@@ -14,6 +14,7 @@ package libm
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/bigmath"
 	"repro/internal/fp"
@@ -102,10 +103,37 @@ func HaveBaseline(fn bigmath.Func) bool {
 	return fn >= 0 && fn < bigmath.NumFuncs && rlibmAll[fn] != nil
 }
 
+// levelEvaluators caches each function's compiled level evaluators,
+// built on first use: the registered tables are immutable.
+var levelEvaluators [bigmath.NumFuncs]struct {
+	once sync.Once
+	evs  []*gen.Evaluator
+	err  error
+}
+
+// evaluators returns fn's progressive table and its compiled evaluator per
+// level — the code verify certified.
+func evaluators(fn bigmath.Func) (*gen.Result, []*gen.Evaluator, error) {
+	res, err := Progressive(fn)
+	if err != nil {
+		return nil, nil, err
+	}
+	c := &levelEvaluators[fn]
+	c.once.Do(func() {
+		c.evs = make([]*gen.Evaluator, len(res.Levels))
+		for li := range c.evs {
+			if c.evs[li], c.err = res.Compile(li); c.err != nil {
+				return
+			}
+		}
+	})
+	return res, c.evs, c.err
+}
+
 // Eval computes fn(x) correctly rounded into out under mode, serving the
 // query from the progressive level that owns out. x must be a value of out.
 func Eval(fn bigmath.Func, x float64, out fp.Format, mode fp.Mode) (uint64, error) {
-	res, err := Progressive(fn)
+	res, evs, err := evaluators(fn)
 	if err != nil {
 		return 0, err
 	}
@@ -113,7 +141,7 @@ func Eval(fn bigmath.Func, x float64, out fp.Format, mode fp.Mode) (uint64, erro
 	if !ok {
 		return 0, errFor(&errTooWide, fn)
 	}
-	return res.Eval(x, li, out, mode), nil
+	return out.FromFloat64(evs[li].Value(x), mode), nil
 }
 
 // Bfloat16 computes fn over a bfloat16 bit pattern with round-to-nearest,
@@ -133,12 +161,13 @@ func TensorFloat32(fn bigmath.Func, bits uint32) (uint32, error) {
 // Largest computes fn over a bit pattern of the library's largest generated
 // format under any of the five standard rounding modes.
 func Largest(fn bigmath.Func, bits uint64, mode fp.Mode) (uint64, error) {
-	res, err := Progressive(fn)
+	res, evs, err := evaluators(fn)
 	if err != nil {
 		return 0, err
 	}
-	f := res.Levels[len(res.Levels)-1]
-	return res.Eval(f.Decode(bits), len(res.Levels)-1, f, mode), nil
+	last := len(res.Levels) - 1
+	f := res.Levels[last]
+	return f.FromFloat64(evs[last].Value(f.Decode(bits)), mode), nil
 }
 
 // LargestFormat returns the widest generated format (the "float" of the

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/bigmath"
-	"repro/internal/poly"
 )
 
 // expScheme implements exp, exp2 and exp10.
@@ -24,12 +23,6 @@ import (
 type expScheme struct {
 	fn bigmath.Func
 }
-
-func (s expScheme) Func() bigmath.Func { return s.fn }
-
-func (s expScheme) NumPolys() int { return 1 }
-
-func (s expScheme) Structure(int) poly.Structure { return poly.Dense }
 
 func (s expScheme) ReducedDomain() (lo, hi float64) {
 	switch s.fn {
@@ -92,10 +85,6 @@ func (s expScheme) Reduce(x float64) (Ctx, bool) {
 	ni := int(n)
 	q, j := ni>>6, ni&63
 	return Ctx{R: r, T: exp2J[j], E: q}, true
-}
-
-func (s expScheme) Compensate(ctx Ctx, y0, _ float64) float64 {
-	return math.Ldexp(y0*ctx.T, ctx.E)
 }
 
 func (s expScheme) Special(x float64) float64 {

@@ -26,12 +26,12 @@ func keyF(i int64) float64 {
 
 // InvertMonotone computes the inverse output compensation for
 // single-polynomial schemes: the closed interval of doubles y for which
-// Compensate(ctx, y, 0) lands in iv. Compensate must be monotonically
+// l.Compensate(ctx, y, 0) lands in iv. Compensate must be monotonically
 // nondecreasing in y (all single-polynomial schemes in this package are).
 // ok is false when no double output can produce a value in iv — such
 // inputs become special-case entries.
-func InvertMonotone(s Scheme, ctx Ctx, iv interval.Interval) (interval.Interval, bool) {
-	oc := func(y float64) float64 { return s.Compensate(ctx, y, 0) }
+func InvertMonotone(l Lowered, ctx Ctx, iv interval.Interval) (interval.Interval, bool) {
+	oc := func(y float64) float64 { return l.Compensate(ctx, y, 0) }
 
 	loKey, hiKey := fKey(-math.MaxFloat64), fKey(math.MaxFloat64)
 	// The key range spans nearly the whole int64 range, so midpoints are
@@ -92,12 +92,13 @@ func evalGuard(t0, t1 float64) float64 {
 // Given the exact kernel values y0s, y1s at the reduced input and a target
 // result interval iv, it returns intervals I0 and I1 such that any kernel
 // outputs (y0, y1) ∈ I0 × I1 make the production double evaluation
-// sign·(a·y0 + b·y1) land in iv. Each kernel receives half of the
+// sign·(a·y0 + b·y1) — Lowered.Compensate with sign, a, b = ctx.Sign,
+// ctx.A, ctx.B — land in iv. Each kernel receives half of the
 // available slack, scaled by its multiplier; the double-evaluation
 // rounding is charged against the slack up front. ok is false when the
 // slack is exhausted (the input must be special-cased).
-func SplitAffine(tp TwoPoly, ctx Ctx, y0s, y1s *big.Float, iv interval.Interval) (i0, i1 interval.Interval, ok bool) {
-	sign, a, b := tp.Affine(ctx)
+func SplitAffine(ctx Ctx, y0s, y1s *big.Float, iv interval.Interval) (i0, i1 interval.Interval, ok bool) {
+	sign, a, b := ctx.Sign, ctx.A, ctx.B
 	lo, hi := iv.Lo, iv.Hi
 	if sign < 0 {
 		lo, hi = -hi, -lo

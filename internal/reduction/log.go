@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/bigmath"
-	"repro/internal/poly"
 )
 
 // logScheme implements ln, log2 and log10.
@@ -20,14 +19,6 @@ import (
 type logScheme struct {
 	fn bigmath.Func
 }
-
-func (s logScheme) Func() bigmath.Func { return s.fn }
-
-func (s logScheme) NumPolys() int { return 1 }
-
-func (s logScheme) Structure(int) poly.Structure { return poly.Dense }
-
-func (s logScheme) ReducedDomain() (lo, hi float64) { return 0, 1.0 / 128 }
 
 func (s logScheme) Reduce(x float64) (Ctx, bool) {
 	if math.IsNaN(x) || x <= 0 || math.IsInf(x, 1) || x == 1 {
@@ -49,10 +40,6 @@ func (s logScheme) Reduce(x float64) (Ctx, bool) {
 		t = float64(e)*log102Double + log10F[j]
 	}
 	return Ctx{R: r, T: t}, true
-}
-
-func (s logScheme) Compensate(ctx Ctx, y0, _ float64) float64 {
-	return ctx.T + y0
 }
 
 func (s logScheme) Special(x float64) float64 {

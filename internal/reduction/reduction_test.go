@@ -45,7 +45,7 @@ func TestReduceCompensateFidelity(t *testing.T) {
 	rng := rand.New(rand.NewSource(70))
 	const prec = 120
 	for _, fn := range bigmath.AllFuncs {
-		s := ForFunc(fn)
+		s := Lower(fn)
 		o := oracle.New(fn)
 		checked := 0
 		for trial := 0; trial < 4000; trial++ {
@@ -62,8 +62,8 @@ func TestReduceCompensateFidelity(t *testing.T) {
 			}
 			// Exact kernel values.
 			var y0, y1 float64
-			if tp, isTwo := s.(TwoPoly); isTwo {
-				k0, k1 := tp.Kernels(ctx.R, prec)
+			if s.NumPolys() == 2 {
+				k0, k1 := s.Kernels(ctx.R, prec)
 				y0, _ = k0.Float64()
 				y1, _ = k1.Float64()
 			} else {
@@ -117,7 +117,7 @@ func TestSpecialPathAgreesWithOracle(t *testing.T) {
 		in.MinSubnormalValue(), -in.MinSubnormalValue(),
 	}
 	for _, fn := range bigmath.AllFuncs {
-		s := ForFunc(fn)
+		s := Lower(fn)
 		o := oracle.New(fn)
 		for _, x := range specials {
 			if _, regular := s.Reduce(x); regular {
@@ -140,7 +140,7 @@ func TestSpecialPathAgreesWithOracle(t *testing.T) {
 // recomputation for the schemes that promise exact steps.
 func TestExactReductionSteps(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
-	sp := ForFunc(bigmath.SinPi)
+	sp := Lower(bigmath.SinPi)
 	for i := 0; i < 20000; i++ {
 		x := math.Ldexp(rng.Float64()+0.5, rng.Intn(40)-10)
 		if 2*x == math.Trunc(2*x) {
@@ -160,7 +160,7 @@ func TestExactReductionSteps(t *testing.T) {
 		}
 	}
 	// exp2 reduction is exact: x = N/64 + r.
-	e2 := ForFunc(bigmath.Exp2)
+	e2 := Lower(bigmath.Exp2)
 	for i := 0; i < 20000; i++ {
 		x := (rng.Float64()*2 - 1) * 120
 		ctx, ok := e2.Reduce(x)
@@ -178,7 +178,7 @@ func TestExactReductionSteps(t *testing.T) {
 }
 
 func TestInvertMonotone(t *testing.T) {
-	s := ForFunc(bigmath.Log2)
+	s := Lower(bigmath.Log2)
 	rng := rand.New(rand.NewSource(72))
 	out := fp.MustFormat(21, 8)
 	o := oracle.New(bigmath.Log2)
@@ -224,7 +224,7 @@ func TestSplitAffine(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	out := fp.MustFormat(21, 8)
 	for _, fn := range []bigmath.Func{bigmath.Sinh, bigmath.Cosh, bigmath.SinPi, bigmath.CosPi} {
-		s := ForFunc(fn).(TwoPoly)
+		s := Lower(fn)
 		o := oracle.New(fn)
 		count := 0
 		for i := 0; i < 2000; i++ {
@@ -239,7 +239,7 @@ func TestSplitAffine(t *testing.T) {
 				continue
 			}
 			k0, k1 := s.Kernels(ctx.R, 160)
-			i0, i1, ok := SplitAffine(s, ctx, k0, k1, iv)
+			i0, i1, ok := SplitAffine(ctx, k0, k1, iv)
 			if !ok {
 				continue
 			}
@@ -265,7 +265,7 @@ func TestSplitAffine(t *testing.T) {
 
 func TestStructures(t *testing.T) {
 	for _, fn := range bigmath.AllFuncs {
-		s := ForFunc(fn)
+		s := Lower(fn)
 		switch s.NumPolys() {
 		case 1:
 			if s.Structure(0) != poly.Dense {

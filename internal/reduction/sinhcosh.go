@@ -2,10 +2,8 @@ package reduction
 
 import (
 	"math"
-	"math/big"
 
 	"repro/internal/bigmath"
-	"repro/internal/poly"
 )
 
 // sinhCoshScheme implements sinh and cosh with two polynomial kernels.
@@ -22,22 +20,6 @@ import (
 // functions" structure for sinh/cosh (Table 1 lists two polynomials).
 type sinhCoshScheme struct {
 	fn bigmath.Func
-}
-
-func (s sinhCoshScheme) Func() bigmath.Func { return s.fn }
-
-func (s sinhCoshScheme) NumPolys() int { return 2 }
-
-func (s sinhCoshScheme) Structure(p int) poly.Structure {
-	if p == 0 {
-		return poly.Even // cosh kernel
-	}
-	return poly.Odd // sinh kernel
-}
-
-func (s sinhCoshScheme) ReducedDomain() (lo, hi float64) {
-	c := ln2Double / 64
-	return -c / 2 * 1.01, c / 2 * 1.01
 }
 
 // overflowCut: sinh/cosh ≈ e^|x|/2 > 2^129 for |x| ≥ 91.
@@ -75,21 +57,6 @@ func (s sinhCoshScheme) Reduce(x float64) (Ctx, bool) {
 		ctx.A, ctx.B = sum, diff
 	}
 	return ctx, true
-}
-
-func (s sinhCoshScheme) Compensate(ctx Ctx, y0, y1 float64) float64 {
-	return ctx.Sign * (ctx.A*y0 + ctx.B*y1)
-}
-
-func (s sinhCoshScheme) Affine(ctx Ctx) (sign, a, b float64) {
-	return ctx.Sign, ctx.A, ctx.B
-}
-
-func (s sinhCoshScheme) Kernels(r float64, prec uint) (*big.Float, *big.Float) {
-	if r == 0 {
-		return new(big.Float).SetPrec(prec).SetInt64(1), new(big.Float).SetPrec(prec)
-	}
-	return bigmath.Eval(bigmath.Cosh, r, prec), bigmath.Eval(bigmath.Sinh, r, prec)
 }
 
 func (s sinhCoshScheme) Special(x float64) float64 {

@@ -2,10 +2,8 @@ package reduction
 
 import (
 	"math"
-	"math/big"
 
 	"repro/internal/bigmath"
-	"repro/internal/poly"
 )
 
 // sinCosPiScheme implements sinpi and cospi with two polynomial kernels.
@@ -25,21 +23,6 @@ import (
 // every |x| ≥ 2^52) take the special path.
 type sinCosPiScheme struct {
 	fn bigmath.Func
-}
-
-func (s sinCosPiScheme) Func() bigmath.Func { return s.fn }
-
-func (s sinCosPiScheme) NumPolys() int { return 2 }
-
-func (s sinCosPiScheme) Structure(p int) poly.Structure {
-	if p == 0 {
-		return poly.Even // cosπ kernel
-	}
-	return poly.Odd // sinπ kernel
-}
-
-func (s sinCosPiScheme) ReducedDomain() (lo, hi float64) {
-	return -1.0 / 128, 1.0 / 128
 }
 
 // trigAnchorCut: when the reduced input r is this close to an extremum of
@@ -93,21 +76,6 @@ func (s sinCosPiScheme) Reduce(x float64) (Ctx, bool) {
 		ctx.A, ctx.B, ctx.Sign = cosPiI[i], -sinPiI[i], csign
 	}
 	return ctx, true
-}
-
-func (s sinCosPiScheme) Compensate(ctx Ctx, y0, y1 float64) float64 {
-	return ctx.Sign * (ctx.A*y0 + ctx.B*y1)
-}
-
-func (s sinCosPiScheme) Affine(ctx Ctx) (sign, a, b float64) {
-	return ctx.Sign, ctx.A, ctx.B
-}
-
-func (s sinCosPiScheme) Kernels(r float64, prec uint) (*big.Float, *big.Float) {
-	if r == 0 {
-		return new(big.Float).SetPrec(prec).SetInt64(1), new(big.Float).SetPrec(prec)
-	}
-	return bigmath.Eval(bigmath.CosPi, r, prec), bigmath.Eval(bigmath.SinPi, r, prec)
 }
 
 func (s sinCosPiScheme) Special(x float64) float64 {

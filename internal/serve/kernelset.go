@@ -14,6 +14,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/libm"
 	"repro/internal/obs"
+	"repro/internal/oracle"
 	"repro/internal/pipeline"
 )
 
@@ -41,19 +42,24 @@ type kernelKey struct {
 	mode fp.Mode
 }
 
-// verifySamples is how many inputs per (level, mode) the load-time
-// verification sweep compares against the reference evaluator. The sample
-// is a deterministic stride over the format's bit patterns, so a corrupted
-// coefficient table has many chances to disagree before it is served.
+// verifySamples is how many inputs per level the load-time verification
+// checks against the oracle. The sample is a deterministic stride over the
+// format's bit patterns (sampleStep), so a corrupted coefficient table has
+// many chances to disagree before it is served.
 const verifySamples = 32
+
+// sampleStep is the stride of level format f's verification sample: the
+// inputs whose bit patterns are multiples of it.
+func sampleStep(f fp.Format) uint64 {
+	return max(f.NumValues()/verifySamples, 1)
+}
 
 // LoadKernelSet assembles a kernel set from st's verify artifacts under
 // opt's fingerprint, falling back per function to the baked-in libm tables
 // when the store has no artifact (or st is nil). A store artifact that
-// fails to decode, names the wrong function, or disagrees with the
-// reference evaluator on the verification sample fails the whole load —
-// the caller keeps serving its previous set (hot reload) or degrades to
-// the builtin tables (startup).
+// fails to decode, names the wrong function, or answers wrongly on the
+// verification sample fails the whole load — the caller keeps serving its
+// previous set (hot reload) or degrades to the builtin tables (startup).
 func LoadKernelSet(st pipeline.Store, opt gen.Options, sp *obs.Span, logf pipeline.Logf) (*KernelSet, error) {
 	ks := &KernelSet{span: sp}
 	h := sha256.New()
@@ -152,12 +158,15 @@ func decodeResult(data []byte) (*gen.Result, error) {
 
 // verifyResult gates a store-loaded result before it can serve traffic:
 // the artifact must name the function it is keyed under, carry at least
-// one level, compile into kernels, and agree bit-for-bit with the
-// reference evaluator (gen.Result.Eval) on a deterministic sample per
-// level under round-to-nearest, plus all five standard modes at the
-// largest level. It cannot prove full correct rounding — that is the
-// generator's exhaustive verify stage — but it catches swapped, truncated
-// and bit-rotted tables before a single wrong answer leaves the server.
+// one level, compile into kernels, and serve correctly rounded results on
+// a deterministic sample per level — under round-to-nearest, plus all five
+// standard modes at the largest level. Each sampled input is checked
+// against a fresh oracle's round-to-odd result at f+2 bits, which rounds
+// correctly into every mode, so one oracle query covers all of them. It
+// cannot prove full correct rounding — that is the generator's exhaustive
+// verify stage — but it catches swapped, truncated and bit-rotted tables,
+// and validly sealed tables with wrong coefficients, before a single wrong
+// answer leaves the server.
 func verifyResult(fn bigmath.Func, res *gen.Result) error {
 	if res.Fn != fn {
 		return fmt.Errorf("artifact is for %s", res.Fn)
@@ -165,26 +174,28 @@ func verifyResult(fn bigmath.Func, res *gen.Result) error {
 	if len(res.Levels) == 0 {
 		return errors.New("artifact has no levels")
 	}
+	orc := oracle.New(fn)
 	for li, lvl := range res.Levels {
 		modes := []fp.Mode{fp.RoundNearestEven}
 		if li == len(res.Levels)-1 {
 			modes = fp.StandardModes
 		}
-		for _, mode := range modes {
+		kernels := make([]*eval.Kernel, len(modes))
+		for i, mode := range modes {
 			k, err := eval.Compile(res, lvl, mode)
 			if err != nil {
 				return fmt.Errorf("level %v mode %v: compile: %w", lvl, mode, err)
 			}
-			nv := lvl.NumValues()
-			step := nv / verifySamples
-			if step == 0 {
-				step = 1
-			}
-			for b := uint64(0); b < nv; b += step {
-				x := lvl.Decode(b)
-				if got, want := k.Eval(x), res.Eval(x, k.Level(), lvl, mode); got != want {
-					return fmt.Errorf("level %v mode %v input %#x: kernel %#x != reference %#x",
-						lvl, mode, b, got, want)
+			kernels[i] = k
+		}
+		ext := lvl.Extend(2)
+		for b := uint64(0); b < lvl.NumValues(); b += sampleStep(lvl) {
+			x := lvl.Decode(b)
+			ro := ext.Decode(orc.Result(x, ext, fp.RoundToOdd))
+			for i, k := range kernels {
+				if got, want := k.Eval(x), lvl.FromFloat64(ro, modes[i]); got != want {
+					return fmt.Errorf("level %v mode %v input %#x: served %#x, correctly rounded %#x",
+						lvl, modes[i], b, got, want)
 				}
 			}
 		}
@@ -223,7 +234,7 @@ func (ks *KernelSet) Functions() []bigmath.Func {
 }
 
 // Result returns the set's table for fn (tests compare served bits against
-// a direct reference evaluation of the same generation).
+// a direct evaluation of the same generation).
 func (ks *KernelSet) Result(fn bigmath.Func) (*gen.Result, bool) {
 	if fn < 0 || fn >= bigmath.NumFuncs || ks.results[fn] == nil {
 		return nil, false

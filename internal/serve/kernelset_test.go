@@ -45,8 +45,8 @@ func TestLoadKernelSetBuiltin(t *testing.T) {
 }
 
 // TestLoadKernelSetFromStore: a store artifact overrides the builtin
-// tables for its function only, and the served bits match the decoded
-// artifact's own reference evaluation.
+// tables for its function only, and the served bits match a one-off
+// evaluation (Result.Eval) of the decoded artifact.
 func TestLoadKernelSetFromStore(t *testing.T) {
 	base, err := baseArtifact()
 	if err != nil {
@@ -81,7 +81,7 @@ func TestLoadKernelSetFromStore(t *testing.T) {
 	for b := uint64(0); b < out.NumValues(); b += 17 {
 		x := out.Decode(b)
 		if got, want := k.Eval(x), res.Eval(x, li, out, fp.RoundNearestEven); got != want {
-			t.Fatalf("input %#x: kernel %#x, reference %#x", b, got, want)
+			t.Fatalf("input %#x: kernel %#x, Result.Eval %#x", b, got, want)
 		}
 	}
 }
@@ -115,6 +115,35 @@ func TestLoadKernelSetRejectsBadArtifacts(t *testing.T) {
 	_, err = LoadKernelSet(st, reloadOpts(), nil, nil)
 	if err == nil || !strings.Contains(err.Error(), "sinpi") {
 		t.Errorf("wrong-function artifact: got %v, want an error naming sinpi", err)
+	}
+}
+
+// TestLoadKernelSetRejectsWrongCoefficients: an artifact resealed with
+// valid framing but a perturbed constant coefficient C1 decodes and
+// compiles, so only the load gate's oracle check can refuse it.
+func TestLoadKernelSetRejectsWrongCoefficients(t *testing.T) {
+	base, err := baseArtifact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := decodeResult(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range res.Kernels[0].Pieces {
+		p := &res.Kernels[0].Pieces[i]
+		p.Coeffs = append([]float64(nil), p.Coeffs...)
+		p.Coeffs[0] *= 1 + 1.0/8 // one ulp at 1 of the largest level
+	}
+	var e pipeline.Enc
+	gen.ResultCodec.Encode(&e, res)
+	resealed := pipeline.Seal(gen.ResultCodec.Name, gen.ResultCodec.Version, e.Bytes())
+	if _, err := decodeResult(resealed); err != nil {
+		t.Fatalf("resealed artifact does not decode: %v", err)
+	}
+	_, err = LoadKernelSet(storeWith(t, resealed), reloadOpts(), nil, nil)
+	if err == nil || !strings.Contains(err.Error(), "failed verification") {
+		t.Fatalf("perturbed-C1 artifact: got %v, want a verification failure", err)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
+	"repro/internal/reduction"
 )
 
 // Hot-reload coverage, including the mix-freedom acceptance test: a table
@@ -83,7 +84,9 @@ func pinArtifact(t *testing.T, xs []float64, proxy float64) []byte {
 
 // pinnedInputs picks two regular bit patterns of the serving format whose
 // output a pinned special actually controls (finite decode, not already
-// handled by the reduction scheme's special-case path).
+// handled by the reduction scheme's special-case path) and that no level's
+// load-time verification sample contains — a pinned proxy is a wrong
+// answer, which the load gate would reject.
 func pinnedInputs(t *testing.T) (bits []uint64, xs []float64) {
 	t.Helper()
 	out := fp.MustFormat(10, 8)
@@ -100,7 +103,7 @@ func pinnedInputs(t *testing.T) (bits []uint64, xs []float64) {
 		if math.IsNaN(x) || math.IsInf(x, 0) {
 			continue
 		}
-		if _, regular := res.Scheme().Reduce(x); !regular {
+		if _, regular := reduction.Lower(res.Fn).Reduce(x); !regular || sampled(res, x) {
 			continue
 		}
 		bits = append(bits, b)
@@ -110,6 +113,16 @@ func pinnedInputs(t *testing.T) (bits []uint64, xs []float64) {
 		t.Fatal("no regular inputs found in the serving format")
 	}
 	return bits, xs
+}
+
+// sampled reports whether x is in some level's verification sample.
+func sampled(res *gen.Result, x float64) bool {
+	for _, lvl := range res.Levels {
+		if lvl.FromFloat64(x, fp.RoundNearestEven)%sampleStep(lvl) == 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // storeWith returns a memory store holding artifact under the server's key.

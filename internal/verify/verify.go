@@ -4,8 +4,10 @@
 //
 // Every input costs one oracle call: the round-to-odd result at f+2 bits
 // rounds correctly into every standard mode (the RLibm-All theorem). A
-// generated result is evaluated once per distinct serving level, and that
-// value is rounded into each mode it serves — Result.Eval's definition —
+// generated result is checked through its compiled level evaluators
+// (gen.Evaluator, compiled once per sweep or per NewGenImpl wrapper) — the
+// code libm and the server run — and each input's Value is computed once
+// per distinct serving level and rounded into each mode that level serves,
 // so a five-mode sweep at a lower level costs two evaluations per input,
 // not five. Any other Impl is asked once per mode.
 //
@@ -75,7 +77,7 @@ func implAnswers(impl Impl, f fp.Format, modes []fp.Mode) answers {
 		for i, m := range modes {
 			levels[i] = g.level(f, m)
 		}
-		return levelAnswers(g.res, f, modes, levels)
+		return levelAnswers(g.evs, f, modes, levels)
 	}
 	return func(x float64, got []uint64) {
 		for i, m := range modes {
@@ -84,10 +86,15 @@ func implAnswers(impl Impl, f fp.Format, modes []fp.Mode) answers {
 	}
 }
 
-// levelAnswers evaluates res once per distinct level of levels (indexed
-// like modes) and rounds each value into out under every mode that level
-// serves.
-func levelAnswers(res *gen.Result, out fp.Format, modes []fp.Mode, levels []int) answers {
+// noAnswer is what a level that does not compile answers: all ones, never
+// the bit pattern of a format (at most 60 bits wide), so every input it
+// should answer is reported as a mismatch.
+const noAnswer = ^uint64(0)
+
+// levelAnswers evaluates each input once per distinct level of levels
+// (indexed like modes) with that level's evaluator in evs, and rounds the
+// value into out under every mode the level serves.
+func levelAnswers(evs []*gen.Evaluator, out fp.Format, modes []fp.Mode, levels []int) answers {
 	var distinct []int
 	for _, li := range levels {
 		if !slices.Contains(distinct, li) {
@@ -96,9 +103,17 @@ func levelAnswers(res *gen.Result, out fp.Format, modes []fp.Mode, levels []int)
 	}
 	return func(x float64, got []uint64) {
 		for _, li := range distinct {
-			v := res.EvalValue(x, li)
+			ev := evs[li]
+			var v float64
+			if ev != nil {
+				v = ev.Value(x)
+			}
 			for i, m := range modes {
-				if levels[i] == li {
+				if levels[i] != li {
+					continue
+				}
+				got[i] = noAnswer
+				if ev != nil {
 					got[i] = out.FromFloat64(v, m)
 				}
 			}
@@ -199,16 +214,28 @@ func Sampled(impl Impl, orc *oracle.Oracle, f fp.Format, modes []fp.Mode, n int,
 }
 
 // genImpl adapts a generated Result to Impl, serving each query from the
-// level that owns the queried format.
+// compiled evaluator of the level that owns the queried format.
 type genImpl struct {
 	res *gen.Result
+	evs []*gen.Evaluator // per level; nil where the level does not compile
 }
 
-// NewGenImpl wraps a generated result as an Impl.
-func NewGenImpl(res *gen.Result) Impl { return genImpl{res: res} }
+// NewGenImpl wraps a generated result as an Impl. Every level is compiled
+// here, once: later changes to res (AddSpecial) need a new wrapper.
+func NewGenImpl(res *gen.Result) Impl {
+	evs := make([]*gen.Evaluator, len(res.Levels))
+	for li := range evs {
+		evs[li], _ = res.Compile(li) // a level that does not compile answers noAnswer
+	}
+	return genImpl{res: res, evs: evs}
+}
 
 func (g genImpl) Bits(x float64, out fp.Format, mode fp.Mode) uint64 {
-	return g.res.Eval(x, g.level(out, mode), out, mode)
+	ev := g.evs[g.level(out, mode)]
+	if ev == nil {
+		return noAnswer
+	}
+	return out.FromFloat64(ev.Value(x), mode)
 }
 
 // level is the level serving (out, mode): ServingLevel's, or the largest
@@ -291,6 +318,10 @@ func ExhaustiveLevelRange(res *gen.Result, orc *oracle.Oracle, li int, modes []f
 	for i := range levels {
 		levels[i] = li
 	}
+	evs := make([]*gen.Evaluator, len(res.Levels))
+	// Compiled per sweep, since Repair patches between sweeps; a level that
+	// does not compile answers noAnswer.
+	evs[li], _ = res.Compile(li)
 	return sweep(lvl, modes, orc, workers, hi-lo,
-		func(i uint64) uint64 { return lo + i }, levelAnswers(res, lvl, modes, levels))
+		func(i uint64) uint64 { return lo + i }, levelAnswers(evs, lvl, modes, levels))
 }

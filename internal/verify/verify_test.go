@@ -208,7 +208,7 @@ func TestHoistedSweepMatchesPerModeBits(t *testing.T) {
 	res := smallResult(t, fn)
 	orc := oracle.New(fn)
 	x := 1.5
-	res.AddSpecial(len(res.Levels)-1, x, 2*res.EvalValue(x, len(res.Levels)-1))
+	res.AddSpecial(len(res.Levels)-1, x, 2*value(t, res, len(res.Levels)-1, x))
 	for _, f := range res.Levels {
 		if bad := pinHoisted(t, res, orc, f, fp.StandardModes); bad == 0 {
 			t.Errorf("%v: corrupted special not detected", f)
@@ -216,16 +216,31 @@ func TestHoistedSweepMatchesPerModeBits(t *testing.T) {
 	}
 }
 
+// value is level li of res evaluated at x, before rounding.
+func value(t *testing.T, res *gen.Result, li int, x float64) float64 {
+	t.Helper()
+	ev, err := res.Compile(li)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ev.Value(x)
+}
+
 // TestExhaustiveLevelRangeMatchesEval pins ExhaustiveLevelRange, which
-// evaluates each input once for all modes, to res.Eval called per mode.
+// evaluates each input once for all modes, to the level's evaluator
+// rounded per mode over the same slice.
 func TestExhaustiveLevelRangeMatchesEval(t *testing.T) {
 	fn := bigmath.Log10
 	res := smallResult(t, fn)
 	orc := oracle.New(fn)
-	res.AddSpecial(0, 1.5, 2*res.EvalValue(1.5, 0))
+	res.AddSpecial(0, 1.5, 2*value(t, res, 0, 1.5))
 	modes := fp.AllModes
 	bad := 0
 	for li, lvl := range res.Levels {
+		ev, err := res.Compile(li)
+		if err != nil {
+			t.Fatal(err)
+		}
 		lo, hi := uint64(100), lvl.NumValues()/2+7
 		ext := lvl.Extend(2)
 		want := make([]Report, len(modes))
@@ -237,7 +252,7 @@ func TestExhaustiveLevelRangeMatchesEval(t *testing.T) {
 			roVal := ext.Decode(orc.Result(x, ext, fp.RoundToOdd))
 			for i, m := range modes {
 				want[i].Checked++
-				if res.Eval(x, li, lvl, m) != lvl.FromFloat64(roVal, m) {
+				if lvl.FromFloat64(ev.Value(x), m) != lvl.FromFloat64(roVal, m) {
 					want[i].Mismatches = append(want[i].Mismatches, b)
 					bad++
 				}
@@ -247,5 +262,30 @@ func TestExhaustiveLevelRangeMatchesEval(t *testing.T) {
 	}
 	if bad == 0 {
 		t.Error("corrupted special not detected")
+	}
+}
+
+// TestUncompilableLevelIsWrong: a level whose table does not compile (here
+// a special-input key the reduction never sends to the table) cannot
+// answer, so every input of it is reported wrong, through both the level
+// sweep and NewGenImpl.
+func TestUncompilableLevelIsWrong(t *testing.T) {
+	fn := bigmath.Log10
+	res := smallResult(t, fn)
+	res.AddSpecial(0, 0, 1)
+	if _, err := res.Compile(0); err == nil {
+		t.Fatal("a +0 special-input key compiled")
+	}
+	orc := oracle.New(fn)
+	lvl := res.Levels[0]
+	for _, rep := range ExhaustiveLevel(res, orc, 0, []fp.Mode{fp.RoundNearestEven}, 2) {
+		if uint64(len(rep.Mismatches)) != lvl.NumValues() {
+			t.Errorf("ExhaustiveLevel: %v, want every input wrong", rep)
+		}
+	}
+	for _, rep := range Exhaustive(NewGenImpl(res), orc, lvl, []fp.Mode{fp.RoundNearestEven}, 2) {
+		if uint64(len(rep.Mismatches)) != lvl.NumValues() {
+			t.Errorf("Exhaustive: %v, want every input wrong", rep)
+		}
 	}
 }
